@@ -140,20 +140,6 @@ def check_large_time_bound(eps, t, d=1, n_samples=10_000, seed=0, corrected=Fals
     }
 
 
-def image_sum_euclid(t, s, x0, x, z):
-    """sum over k in {-2pi,0,2pi}^d of p_{t,x0,x+k}(s, z), collapsed form."""
-    x0a, xa, za = as_coords(x0), as_coords(x), as_coords(z)
-    d = x0a.shape[-1]
-    shifts = np.array(np.meshgrid(*([[-TWO_PI, 0.0, TWO_PI]] * d),
-                                  indexing="ij")).reshape(d, -1).T
-    total = 0.0
-    for k in shifts:
-        xk = xa + k
-        mean = x0a + (s / t) * (xk - x0a)
-        total += gauss_kernel(s * (t - s) / t, za - mean)
-    return total
-
-
 def _log_image_sum(t, s, x0, x, z):
     """log of the 3^d-term Euclidean bridge image sum, vectorized; stays
     finite where every single Gaussian underflows."""
@@ -189,7 +175,7 @@ def check_image_sum_bound(t, s, x0, x, z):
     log_env = _log_image_sum(t, s, x0a, xa, za) + d * math.log1p(math.sqrt(t))
     return {
         "bridge": float(np.exp(log_bridge)),
-        "envelope": float(np.exp(log_env) * (1.0 + math.sqrt(t)) ** 0),
+        "envelope": float(np.exp(log_env)),
         "c_fit": float(np.exp(log_bridge - log_env)),
     }
 

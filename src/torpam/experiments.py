@@ -179,6 +179,23 @@ def _capped_f_values(spec, diffs, kmax, cap_dist):
     return covariance_truncated(spec, safe[..., None], kmax)
 
 
+def _volterra_level(prev, weight, gq, dt, cell, propagate, end_lo):
+    """cur(t_i) = int_0^{t_i} propagate(G(t_i - s), weight * prev(s)) ds
+    by the trapezoid rule in s on uniform nodes, prev[j - 1] and gq[j]
+    sampling t_j; the analytic endpoints are G(0) = identity on the q grid
+    at s = t_i and ``end_lo(i)`` (None: zero) at s = 0."""
+    cur = np.zeros_like(prev)
+    for i in range(1, len(prev) + 1):
+        acc = np.zeros_like(prev[0])
+        for jj in range(1, i):
+            acc += propagate(gq[i - jj], prev[jj - 1] * weight)
+        total = dt * acc * cell**2
+        lo = 0.0 if end_lo is None else end_lo(i)
+        total += 0.5 * dt * (lo + prev[i - 1] * weight)
+        cur[i - 1] = total
+    return cur
+
+
 def resolvent_Ln(spec, n_max, t_grid, a_grid_n=9, q_grid_n=33, kmax=16,
                  f_override=None, cap_dist=None):
     """Space-time quadrature of the resolvent recursion
@@ -226,29 +243,17 @@ def resolvent_Ln(spec, n_max, t_grid, a_grid_n=9, q_grid_n=33, kmax=16,
     gq = [None] + [  # G(t_j, q - q') for j >= 1
         _kernel_matrix(t[j], q_grid, q_grid) for j in range(1, n_t)]
 
+    def propagate(gz, inner):
+        return np.einsum("xz,yw,azbw->axby", gz, gz, inner, optimize=True)
+
+    def end_lo(i):  # L_0 collapses to point masses at (a, b)
+        return np.einsum("aq,br,ab->aqbr", g_aq[i - 1], g_aq[i - 1],
+                         f_pairs_aa)
+
     for n in range(1, n_max + 1):
-        prev = levels[n - 1]
-        cur = np.zeros_like(l0)
-        for i in range(1, n_t):
-            # trapezoid in s over nodes 0..i with analytic endpoints
-            acc = np.zeros((a_grid_n, q_grid_n, a_grid_n, q_grid_n))
-            for jj in range(1, i):
-                gz = gq[i - jj]
-                inner = prev[jj - 1] * fq[None, :, None, :]
-                acc += np.einsum("xz,yw,azbw->axby", gz, gz, inner,
-                                 optimize=True)
-            total = dt * acc * cell**2
-            # s = t endpoint: G(0) collapses to the identity on the q grid
-            end_hi = prev[i - 1] * fq[None, :, None, :]
-            # s = 0 endpoint: L_{n-1} collapses to point masses at (a, b)
-            if n == 1:
-                g_here = g_aq[i - 1]
-                end_lo = np.einsum("aq,br,ab->aqbr", g_here, g_here, f_pairs_aa)
-            else:
-                end_lo = np.zeros_like(end_hi)
-            total += 0.5 * dt * (end_lo + end_hi)
-            cur[i - 1] = total
-        levels.append(cur)
+        levels.append(_volterra_level(
+            levels[n - 1], fq[None, :, None, :], gq, dt, cell, propagate,
+            end_lo if n == 1 else None))
     return ResolventTable(spec=spec, t_grid=t, a_grid=a_grid, q_grid=q_grid,
                           values=levels, f_matrix=fq)
 
@@ -315,26 +320,19 @@ def two_point(spec, mu, t, x, x_prime, n_max=3, t_nodes=21, q_grid_n=33,
     m0_target = m_prev[-1]
 
     contributions = [float(_interp_pair(m0_target, q, x, x_prime))]
+
+    def propagate(gz, inner):
+        return gz @ inner @ gz.T
+
+    def end_lo(i):  # M_0 collapses to mu x mu
+        w = gq[i] * mu_vals[None, :]
+        return w @ fq @ w.T * cell**2
+
     for n in range(1, n_max + 1):
-        cur = np.zeros_like(m_prev)
-        for i in range(1, t_nodes):
-            acc = np.zeros((q_grid_n, q_grid_n))
-            for jj in range(1, i):
-                gz = gq[i - jj]
-                acc += gz @ (fq * m_prev[jj - 1]) @ gz.T
-            total = dt * acc * cell**2
-            end_hi = fq * m_prev[i - 1]
-            if n == 1:
-                gz = gq[i]
-                end_lo = (gz * mu_vals[None, :]) @ fq @ (gz * mu_vals[None, :]).T \
-                    * cell**2
-            else:
-                end_lo = np.zeros_like(end_hi)
-            total += 0.5 * dt * (end_lo + end_hi)
-            cur[i - 1] = total
-        m_prev = cur
+        m_prev = _volterra_level(m_prev, fq, gq, dt, cell, propagate,
+                                 end_lo if n == 1 else None)
         contributions.append(
-            spec.lam ** (2 * n) * float(_interp_pair(cur[-1], q, x, x_prime)))
+            spec.lam ** (2 * n) * float(_interp_pair(m_prev[-1], q, x, x_prime)))
     value = float(np.sum(contributions))
     ratio = abs(contributions[-1]) / max(abs(value), 1e-300)
     return {
@@ -368,6 +366,23 @@ def _table_lookup(xs, vals, x):
     return np.interp(signed_mod(x), xs, vals, period=TWO_PI)
 
 
+def _pair_walk(spec, kmax, cap_dist, x0, n_paths, n_steps, dt_bm, rng):
+    """n_paths pairs of independent torus Brownian motions B, B' from x0;
+    yields ``(step, B, B', acc)`` after each step, ``acc`` (updated in
+    place) the left-point sum of the tabulated f(B_s - B'_s) so far."""
+    xs_tab, f_tab = _f_table(spec, kmax, cap_dist=cap_dist)
+    b1 = np.full(n_paths, x0)
+    b2 = b1.copy()
+    acc = np.zeros(n_paths)
+    root = math.sqrt(dt_bm)
+    for step_i in range(1, n_steps + 1):
+        acc += _table_lookup(xs_tab, f_tab, b1 - b2)
+        steps = rng.standard_normal((2, n_paths)) * root
+        b1 = signed_mod(b1 + steps[0])
+        b2 = signed_mod(b2 + steps[1])
+        yield step_i, b1, b2, acc
+
+
 def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
                               kmax=16, cap_dist=None):
     """Pair-of-Brownian-motions estimator of E[u(t,x)^2] for bounded
@@ -387,18 +402,11 @@ def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
     n_steps = int(round(t / dt_bm))
     if n_steps < 1:
         raise DomainError("dt_bm larger than the horizon")
-    xs_tab, f_tab = _f_table(spec, kmax, cap_dist=cap_dist)
-
-    rng = step_rng(seed, 0, stream=1)
-    b1 = np.full(n_paths, float(np.atleast_1d(x)[0]))
-    b2 = b1.copy()
-    acc = np.zeros(n_paths)
-    root = math.sqrt(dt_bm)
-    for _ in range(n_steps):
-        acc += _table_lookup(xs_tab, f_tab, b1 - b2)
-        steps = rng.standard_normal((2, n_paths)) * root
-        b1 = signed_mod(b1 + steps[0])
-        b2 = signed_mod(b2 + steps[1])
+    x0 = float(np.atleast_1d(x)[0])
+    walk = _pair_walk(spec, kmax, cap_dist, x0, n_paths, n_steps, dt_bm,
+                      step_rng(seed, 0, stream=1))
+    for _, b1, b2, acc in walk:  # the estimator reads only the end state
+        pass
     if mu.variant == "uniform":
         end_w = np.full(n_paths, mu.mass * TWO_PI ** (-1)) ** 2
     else:
@@ -407,7 +415,7 @@ def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
         end_w = (np.interp(b1, xs_mu, mu.density, period=TWO_PI)
                  * np.interp(b2, xs_mu, mu.density, period=TWO_PI))
     vals = end_w * np.exp(spec.lam**2 * acc * dt_bm)
-    return MomentEstimate(t=float(t), x=(float(np.atleast_1d(x)[0]),), p=2.0,
+    return MomentEstimate(t=float(t), x=(x0,), p=2.0,
                           value=float(np.mean(vals)),
                           std_err=jackknife_se(vals), n_samples=n_paths)
 
@@ -433,19 +441,11 @@ def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0, kmax=16):
     t_list = sorted(float(t) for t in np.atleast_1d(t_list))
     t_max = t_list[-1]
     n_steps = int(round(t_max / dt_bm))
-    xs_tab, f_tab = _f_table(spec, kmax)
-    rng = step_rng(seed, 0, stream=2)
-    b1 = np.zeros(n_paths)
-    b2 = np.zeros(n_paths)
-    acc = np.zeros(n_paths)
-    root = math.sqrt(dt_bm)
     targets = {int(round(t / dt_bm)): t for t in t_list}
     rows = []
-    for step_i in range(1, n_steps + 1):
-        acc += _table_lookup(xs_tab, f_tab, b1 - b2)
-        steps = rng.standard_normal((2, n_paths)) * root
-        b1 = signed_mod(b1 + steps[0])
-        b2 = signed_mod(b2 + steps[1])
+    walk = _pair_walk(spec, kmax, None, 0.0, n_paths, n_steps, dt_bm,
+                      step_rng(seed, 0, stream=2))
+    for step_i, _, _, acc in walk:
         if step_i in targets:
             t_now = targets[step_i]
             avg = acc * dt_bm / t_now

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import SpectralWeights, covariance_truncated
+from .covariance import covariance_truncated
 from .errors import AliasingError, DomainError
 from .heat_kernel import TWO_PI
 
@@ -128,7 +128,6 @@ class IncrementSampler:
         self.kmax = kmax
         self.grid_n = grid_n
         self.dt = dt
-        self.weights = SpectralWeights.build(spec, kmax)
         self.half = half_lattice(kmax, spec.d)
         norm_sq = np.sum(self.half.astype(float) ** 2, axis=-1)
         d = spec.d
@@ -273,15 +272,25 @@ def write_field_binary(path, field, dt, seed):
         fh.write(field.tobytes(order="C"))
 
 
+def _read_exact(fh, n_bytes, what):
+    data = fh.read(n_bytes)
+    if len(data) != n_bytes:
+        raise DomainError(f"truncated field file: {what} needs {n_bytes} "
+                          f"bytes, found {len(data)}")
+    return data
+
+
 def read_field_binary(path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != BINARY_MAGIC:
             raise DomainError(f"bad magic {magic!r}")
-        version, d, n, dt, seed = struct.unpack("<HHId Q", fh.read(struct.calcsize("<HHId Q")))
+        header = _read_exact(fh, struct.calcsize("<HHId Q"), "header")
+        version, d, n, dt, seed = struct.unpack("<HHId Q", header)
         if version != 1:
             raise DomainError(f"unsupported version {version}")
-        payload = np.frombuffer(fh.read(8 * n**d), dtype="<f8").reshape((n,) * d)
+        payload = np.frombuffer(_read_exact(fh, 8 * n**d, "payload"),
+                                dtype="<f8").reshape((n,) * d)
     return payload.copy(), {"d": d, "grid_n": n, "dt": dt, "seed": seed}
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import NoiseSpec
-from .errors import AliasingError, DomainError
+from .errors import AliasingError, DomainError, NumericsError
 from .heat_kernel import TWO_PI, as_coords, heat_kernel
 from .noise_field import (IncrementSampler, grid_points, grid_to_modes,
                           modes_to_grid, step_rng)
@@ -177,40 +177,48 @@ def initial_field(config, mu):
     return vals.reshape(shape), t0
 
 
-def step(u, dw_modes, config, heat=None):
-    """One exponential-Euler step from the field u and the noise increment
-    given by its mode tensor; returns the new field."""
-    if heat is None:
-        heat = _heat_factor(config)
-    d, kmax, n = config.spec.d, config.mode_k, config.grid_n
-    dw = np.real(modes_to_grid(dw_modes, kmax, n, d))
-    prod_modes = grid_to_modes(u * dw, kmax, n, d)
-    u_modes = grid_to_modes(u, kmax, n, d)
-    new_modes = heat * (u_modes + config.spec.lam * prod_modes)
-    return np.real(modes_to_grid(new_modes, kmax, n, d))
-
-
-def solve(config, mu, seed, output_times=None):
-    """Simulate one trajectory; deterministic given (config, mu, seed)."""
+def _march(config, mu, seed, n_paths, output_times, stream=0):
+    """Exponential-Euler march of n_paths fields batched over the grid:
+    yields ``(t, u, keep)`` at the start and after every step, u indexed
+    (path, grid...) and ``keep`` marking the requested output times.
+    Raises NumericsError naming the first step with a non-finite field."""
     config.spec.require_dalang()
-    u, t_start = initial_field(config, mu)
-    n_steps = config.n_steps
+    u0, t_start = initial_field(config, mu)
+    u = np.broadcast_to(u0, (n_paths,) + u0.shape).copy()
     heat = _heat_factor(config)
     sampler = IncrementSampler(config.spec, config.mode_k, config.grid_n,
                                config.dt)
-    times = [t_start]
+    d, kmax, n = config.spec.d, config.mode_k, config.grid_n
+    lam = config.spec.lam
     keep = _output_mask(config, t_start, output_times)
-    fields = [u.copy()] if keep[0] else []
-    out_times = [t_start] if keep[0] else []
-    neg = 0
-    for nstep in range(n_steps):
-        rng = step_rng(seed, nstep)
-        u = step(u, sampler.sample_modes(rng), config, heat)
+    yield t_start, u, keep[0]
+    for nstep in range(config.n_steps):
+        rng = step_rng(seed, nstep, stream=stream)
+        dw_modes = sampler.sample_modes(rng, n_batch=n_paths)
+        dw = np.real(modes_to_grid(dw_modes, kmax, n, d))
+        prod = grid_to_modes(u * dw, kmax, n, d)
+        u_modes = grid_to_modes(u, kmax, n, d)
+        u = np.real(modes_to_grid(heat * (u_modes + lam * prod), kmax, n, d))
         t_now = t_start + (nstep + 1) * config.dt
-        if keep[nstep + 1]:
-            fields.append(u.copy())
-            out_times.append(t_now)
-        neg += int(np.min(u) < 0)
+        if not np.isfinite(u).all():
+            raise NumericsError(f"non-finite field after step {nstep + 1}"
+                                f" of {config.n_steps} (t = {t_now:g})")
+        yield t_now, u, keep[nstep + 1]
+
+
+def solve(config, mu, seed, output_times=None):
+    """Simulate one trajectory; deterministic given (config, mu, seed).
+
+    The one-path case of :func:`solve_ensemble`, plus a count of the steps
+    after which the field has a negative value."""
+    out_times, fields, neg = [], [], 0
+    march = _march(config, mu, seed, 1, output_times)
+    for nstep, (t, u, keep) in enumerate(march):
+        if keep:
+            fields.append(u[0].copy())
+            out_times.append(t)
+        if nstep:
+            neg += int(np.min(u) < 0)
     return Trajectory(times=np.asarray(out_times), fields=np.asarray(fields),
                       seed=int(seed), config=config,
                       positivity_violations=neg)
@@ -235,27 +243,10 @@ def solve_ensemble(config, mu, seed, n_paths, output_times, stream=0):
     ensembles for the same seed.  Returns (times, fields) with fields
     indexed (time, path, grid...).
     """
-    config.spec.require_dalang()
-    u0, t_start = initial_field(config, mu)
-    u = np.broadcast_to(u0, (n_paths,) + u0.shape).copy()
-    heat = _heat_factor(config)
-    sampler = IncrementSampler(config.spec, config.mode_k, config.grid_n,
-                               config.dt)
-    d, kmax, n = config.spec.d, config.mode_k, config.grid_n
-    lam = config.spec.lam
-    keep = _output_mask(config, t_start, output_times)
     outs, out_times = [], []
-    if keep[0]:
-        outs.append(u.copy())
-        out_times.append(t_start)
-    for nstep in range(config.n_steps):
-        rng = step_rng(seed, nstep, stream=stream)
-        dw_modes = sampler.sample_modes(rng, n_batch=n_paths)
-        dw = np.real(modes_to_grid(dw_modes, kmax, n, d))
-        prod = grid_to_modes(u * dw, kmax, n, d)
-        u_modes = grid_to_modes(u, kmax, n, d)
-        u = np.real(modes_to_grid(heat * (u_modes + lam * prod), kmax, n, d))
-        if keep[nstep + 1]:
+    for t, u, keep in _march(config, mu, seed, n_paths, output_times,
+                             stream):
+        if keep:
             outs.append(u.copy())
-            out_times.append(t_start + (nstep + 1) * config.dt)
+            out_times.append(t)
     return np.asarray(out_times), np.asarray(outs)

@@ -2,6 +2,8 @@ import filecmp
 import json
 import os
 
+import pytest
+
 from torpam.cli import main
 
 
@@ -70,6 +72,14 @@ class TestExitCodes:
     def test_missing_alpha_is_one(self, tmp_path, capsys):
         code, _ = run(tmp_path, "noalpha", "cov-eval", "--x", "1.0")
         assert code == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_field_is_one(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "nan", "simulate", "--alpha", "0.3", "--rho",
+                      "1", "--lambda", "1e200", "--t-final", "0.1", "--dt",
+                      "0.01", "--grid-n", "16", "--mode-k", "5")
+        assert code == 1
+        assert "non-finite field after step 2" in capsys.readouterr().err
 
 
 class TestConfigPrecedence:

@@ -182,6 +182,16 @@ class TestExport:
         with pytest.raises(DomainError):
             nf.read_field_binary(path)
 
+    @pytest.mark.parametrize("keep, what", [(10, "header"),
+                                            (4 + 24 + 17 * 8 - 1, "payload")])
+    def test_binary_truncation_guard(self, tmp_path, spec_d1, keep, what):
+        inc = nf.sample_increment(spec_d1, 8, 0.1, 17, seed=1)
+        path = tmp_path / "field.bin"
+        nf.write_field_binary(path, inc.values, inc.dt, 1)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DomainError, match=what):
+            nf.read_field_binary(path)
+
     def test_csv_export(self, tmp_path, spec_d1):
         inc = nf.sample_increment(spec_d1, 8, 0.1, 17, seed=1)
         path = tmp_path / "field.csv"

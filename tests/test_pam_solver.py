@@ -5,7 +5,7 @@ import pytest
 
 from torpam import pam_solver as ps
 from torpam.covariance import NoiseSpec
-from torpam.errors import AliasingError, DomainError
+from torpam.errors import AliasingError, DomainError, NumericsError
 from torpam.heat_kernel import TWO_PI, heat_kernel
 from torpam.noise_field import grid_points
 
@@ -177,3 +177,39 @@ class TestStochasticProperties:
         # clock starts at t0 = 0.05; after 0.3 more the field is G(0.35, .)
         exact = heat_kernel(0.35, (xs - 0.5)[:, None])
         assert np.max(np.abs(traj.fields[-1] - exact)) < 1e-10
+
+
+class TestSingleEqualsEnsemble:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("variant", ["uniform", "delta"])
+    @pytest.mark.parametrize("output_times", [None, [0.1, 0.3]])
+    def test_solve_is_one_path_ensemble(self, d, variant, output_times):
+        spec = NoiseSpec(d=d, alpha=0.3 if d == 1 else 0.8, rho=1.0, lam=1.0)
+        n, k = (32, 8) if d == 1 else (16, 5)
+        cfg = ps.SolverConfig(spec=spec, grid_n=n, mode_k=k, dt=0.02,
+                              t_final=0.4)
+        mu = (ps.InitialMeasure.uniform(1.0) if variant == "uniform"
+              else ps.InitialMeasure.delta([0.3] * d, 0.05))
+        traj = ps.solve(cfg, mu, seed=5, output_times=output_times)
+        times, fields = ps.solve_ensemble(cfg, mu, seed=5, n_paths=1,
+                                          output_times=output_times)
+        assert np.array_equal(traj.times, times)
+        assert traj.fields.shape == fields[:, 0].shape
+        assert traj.fields.tobytes() == fields[:, 0].tobytes()
+
+
+class TestNonFiniteGuard:
+    # lambda = 1e200 overflows the noise term on the second step
+    cfg = ps.SolverConfig(spec=NoiseSpec(d=1, alpha=0.3, rho=1.0, lam=1e200),
+                          grid_n=16, mode_k=5, dt=0.01, t_final=0.1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_solve_raises_with_step(self):
+        with pytest.raises(NumericsError, match="step 2 of 10"):
+            ps.solve(self.cfg, ps.InitialMeasure.uniform(1.0), seed=0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_solve_ensemble_raises_with_step(self):
+        with pytest.raises(NumericsError, match="step 2 of 10"):
+            ps.solve_ensemble(self.cfg, ps.InitialMeasure.uniform(1.0),
+                              seed=0, n_paths=3, output_times=[0.1])
