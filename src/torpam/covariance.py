@@ -68,34 +68,6 @@ def fourier_weight(spec, k):
     return norm_sq ** (-spec.alpha) * TWO_PI ** (-spec.d / 2.0)
 
 
-def dalang_check(spec):
-    """True iff 2*(alpha + 1) > d, the integrability condition for the
-    weighted mode sum sum_k theta_k / |k|^2."""
-    return spec.dalang_ok
-
-
-@dataclass(frozen=True)
-class SpectralWeights:
-    """Truncated mode weights theta_k on |k|_inf <= kmax.
-
-    ``vectors`` holds the nonzero lattice points (n, d); ``weights`` the
-    matching theta_k; ``weight0`` the zero-mode weight rho (2 pi)^{-d/2}.
-    """
-
-    kmax: int
-    vectors: np.ndarray
-    weights: np.ndarray
-    weight0: float
-
-    @classmethod
-    def build(cls, spec, kmax):
-        vecs = lattice_vectors(spec.d, kmax)
-        norm_sq = np.sum(vecs.astype(float) ** 2, axis=-1)
-        w = norm_sq ** (-spec.alpha) * TWO_PI ** (-spec.d / 2.0)
-        return cls(kmax=kmax, vectors=vecs, weights=w,
-                   weight0=spec.rho * TWO_PI ** (-spec.d / 2.0))
-
-
 def _ewald_eta(kmax):
     # direct-sum weights carry exp(-eta |k|^2); at |k| = kmax they are
     # below 1e-16 so the neglected tail is certified tiny

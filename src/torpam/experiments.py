@@ -435,15 +435,21 @@ def fk_jensen_floor(spec, t, kmax=16):
 def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0, kmax=16):
     """Time averages (1/t) int_0^t f(B_s - B'_s) ds against the space
     average rho (2 pi)^{-d}; reports mean, standard error and a pass flag
-    (|mean - limit| <= 3 SE at the largest horizon)."""
+    (|mean - limit| <= 3 SE at the largest horizon).  Each horizon must
+    round to its own step of ``dt_bm``, and to at least one step."""
     if spec.d != 1:
         raise DomainError("implemented for d = 1")
     t_list = sorted(float(t) for t in np.atleast_1d(t_list))
-    t_max = t_list[-1]
-    n_steps = int(round(t_max / dt_bm))
-    targets = {int(round(t / dt_bm)): t for t in t_list}
+    steps = [int(round(t / dt_bm)) for t in t_list]
+    if steps[0] < 1:
+        raise DomainError(f"horizon {t_list[0]:g} is shorter than half a "
+                          f"step dt_bm = {dt_bm:g}")
+    if len(set(steps)) < len(steps):
+        raise DomainError(f"horizons {t_list} round to the same step of "
+                          f"dt_bm = {dt_bm:g}")
+    targets = dict(zip(steps, t_list))
     rows = []
-    walk = _pair_walk(spec, kmax, None, 0.0, n_paths, n_steps, dt_bm,
+    walk = _pair_walk(spec, kmax, None, 0.0, n_paths, steps[-1], dt_bm,
                       step_rng(seed, 0, stream=2))
     for step_i, _, _, acc in walk:
         if step_i in targets:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from torpam.cli import main
+from torpam.cli import COMMANDS, main
 
 
 def run(tmp_path, name, *argv):
@@ -124,3 +124,115 @@ class TestArtifacts:
         assert code == 0
         assert (out / "increment.csv").exists()
         assert (out / "increment.bin").exists()
+
+
+S = ["--alpha", "0.3", "--rho", "1"]
+SOLVER = ["--grid-n", "16", "--mode-k", "5", "--dt", "0.01"]
+# every subcommand at a tiny size, with the exact files it writes
+SMOKE = {
+    "kernel-eval": (["--t", "1.0", "--x", "0.5"], {"kernel_eval.json"}),
+    "kernel-verify": (["--t-list", "0.1,1", "--n-samples", "50"],
+                      {"kernel_verify.json", "kernel_verify.csv"}),
+    "cov-eval": (S + ["--x", "1.0", "--kmax", "8"], {"cov_eval.json"}),
+    "cov-rho-star": (["--alpha", "0.3"], {"rho_star.json"}),
+    "noise-sample": (S + ["--grid-n", "16", "--kmax", "5", "--format", "csv"],
+                     {"noise_sample.json", "increment.bin", "increment.csv"}),
+    "noise-verify": (S + ["--grid-n", "9", "--n-samples", "1000"],
+                     {"noise_verify.json"}),
+    "moments-table": (S + ["--n-max", "2", "--t-max", "1", "--n-t", "5"],
+                      {"moments_table.json", "hn_table.csv"}),
+    "gamma0": (S + ["--lambda", "2"], {"gamma0.json"}),
+    "bridge-verify": (["--n-samples", "100"], {"bridge_verify.json"}),
+    "simulate": (S + SOLVER + ["--t-final", "0.02", "--format", "csv"],
+                 {"simulate.json", "trajectory_times.csv"}
+                 | {f"field_000{i}.{ext}" for i in range(3)
+                    for ext in ("bin", "csv")}),
+    "mc-moments": (S + SOLVER + ["--t-list", "0.02", "--n-samples", "8",
+                                 "--threads", "1"],
+                   {"mc_moments.json", "mc_moments.csv"}),
+    "two-point": (S + ["--n-max", "1"], {"two_point.json"}),
+    "resolvent": (S + ["--n-max", "1", "--n-t", "3", "--q-grid-n", "9"],
+                  {"resolvent.json"}),
+    "feynman-kac": (S + ["--n-paths", "20", "--t", "0.05", "--dt-bm", "0.01"],
+                    {"feynman_kac.json"}),
+    "ergodic-check": (["--alpha", "0.3", "--rho", "2", "--t-list", "0.5",
+                       "--n-paths", "10"], {"ergodic.json", "ergodic.csv"}),
+    "holder": (S + ["--grid-n", "48", "--mode-k", "15", "--dt", "0.00390625",
+                    "--n-paths", "2"], {"holder.json"}),
+}
+
+
+class TestEveryCommand:
+    def test_smoke_covers_the_table(self):
+        assert set(SMOKE) == set(COMMANDS)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", sorted(SMOKE))
+    def test_smoke(self, tmp_path, capsys, command):
+        argv, files = SMOKE[command]
+        code, out = run(tmp_path, "s", command, *argv)
+        assert code in (0, 2)
+        assert set(os.listdir(out)) == files | {"manifest.json"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+
+    # kernel-eval's --t and --x are required flags, filled from the config
+    @pytest.mark.parametrize("argv", [
+        ["simulate", *S, "--lambda", "0.7", "--t-final", "0.04", "--dt",
+         "0.01", "--grid-n", "16", "--mode-k", "5", "--seed", "9",
+         "--t-out", "0.02,0.04", "--mu", "delta"],
+        ["kernel-eval", "--d", "2", "--t", "0.3", "--x", "0.5,1"],
+    ])
+    def test_manifest_replays_as_config(self, tmp_path, capsys, argv):
+        _, out_a = run(tmp_path, "a", *argv)
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        conf = tmp_path / "replay.json"
+        out_b = tmp_path / "b"
+        replay = dict(manifest["parameters"], out=str(out_b))
+        if "seed" in manifest:
+            replay["seed"] = manifest["seed"]
+        conf.write_text(json.dumps(replay))
+        assert main([argv[0], "--config", str(conf)]) == 0
+        cmp = filecmp.dircmp(out_a, out_b)
+        assert sorted(os.listdir(out_a)) == sorted(os.listdir(out_b))
+        assert not cmp.diff_files and not cmp.funny_files
+
+    def test_manifest_records_mass(self, tmp_path, capsys):
+        manifests = []
+        for mass in ("1", "2"):
+            _, out = run(tmp_path, f"m{mass}", "two-point", *S, "--n-max",
+                         "1", "--mass", mass)
+            manifests.append((out / "manifest.json").read_text())
+        assert manifests[0] != manifests[1]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv,config", [
+        (["kernel-eval", "--t", "1", "--x", "abc"], None),
+        (["mc-moments", "--alpha", "0.3", "--t-list", "0.5,x"], None),
+        (["cov-rho-star"], "{not json"),
+        (["cov-rho-star"], "[0.3]"),
+        (["cov-rho-star"], '{"alpha": [0.3, 0.5]}'),
+    ])
+    def test_one_line_error_and_nothing_written(self, tmp_path, capsys,
+                                                argv, config):
+        if config is not None:
+            path = tmp_path / "conf.json"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        code, out = run(tmp_path, "bad", *argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_ergodic_horizon_below_half_step_is_one(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "erg", "ergodic-check", "--alpha", "0.3",
+                      "--rho", "2", "--t-list", "0.004", "--n-paths", "4")
+        assert code == 1
+        assert "shorter than half a step" in capsys.readouterr().err
+
+    def test_run_flags_only_where_read(self, tmp_path, capsys):
+        assert run(tmp_path, "k", "kernel-eval", "--t", "1", "--x", "0",
+                   "--seed", "3")[0] == 1
+        assert run(tmp_path, "h", "holder", *S, "--threads", "2")[0] == 1

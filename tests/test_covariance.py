@@ -9,6 +9,7 @@ from scipy import integrate
 from torpam import covariance as cov
 from torpam.errors import DalangViolation, DomainError, SingularityError
 from torpam.heat_kernel import TWO_PI
+from torpam.lattice import lattice_vectors
 from torpam.noise_field import grid_points, grid_to_modes
 
 PI = math.pi
@@ -24,9 +25,9 @@ class TestNoiseSpec:
             cov.NoiseSpec(d=1, alpha=0.5, rho=-1.0)
 
     def test_dalang(self):
-        assert cov.dalang_check(cov.NoiseSpec(d=3, alpha=0.6))
-        assert not cov.dalang_check(cov.NoiseSpec(d=3, alpha=0.5))
-        assert cov.dalang_check(cov.NoiseSpec(d=1, alpha=0.3))
+        assert cov.NoiseSpec(d=3, alpha=0.6).dalang_ok
+        assert not cov.NoiseSpec(d=3, alpha=0.5).dalang_ok
+        assert cov.NoiseSpec(d=1, alpha=0.3).dalang_ok
         with pytest.raises(DalangViolation):
             cov.NoiseSpec(d=3, alpha=0.5).require_dalang()
 
@@ -48,9 +49,9 @@ class TestFourierWeight:
 
     def test_weights_nonnegative(self):
         spec = cov.NoiseSpec(d=2, alpha=0.9, rho=0.3)
-        w = cov.SpectralWeights.build(spec, 6)
-        assert w.weight0 >= 0.0
-        assert np.all(w.weights >= 0.0)
+        assert cov.fourier_weight(spec, [0, 0]) >= 0.0
+        assert all(cov.fourier_weight(spec, k) >= 0.0
+                   for k in lattice_vectors(2, 6))
 
 
 class TestDualRoutes:

@@ -186,6 +186,17 @@ class TestErgodic:
                                        dt_bm=0.01, seed=8)
         assert rep["rows"][1]["variance"] < rep["rows"][0]["variance"]
 
+    @pytest.mark.parametrize("t_list", [[0.004], [0.004, 1.0]])
+    def test_horizon_below_half_step_refused(self, t_list):
+        spec = NoiseSpec(d=1, alpha=0.3, rho=2.0, lam=1.0)
+        with pytest.raises(DomainError, match="shorter than half a step"):
+            ex.ergodic_average_check(spec, t_list, 4, dt_bm=0.01)
+
+    def test_horizons_on_one_step_refused(self):
+        spec = NoiseSpec(d=1, alpha=0.3, rho=2.0, lam=1.0)
+        with pytest.raises(DomainError, match="round to the same step"):
+            ex.ergodic_average_check(spec, [1.0, 1.001], 4, dt_bm=0.01)
+
 
 class TestHolder:
     def test_smooth_field_saturates(self):
