@@ -122,6 +122,19 @@ def _floats(text):
             f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _choice(choices):
+    """argparse type of a choice flag.  argparse checks ``choices`` only on
+    command-line values, but passes a string default (a ``--config``
+    value) through ``type``, so this refuses a bad config value too."""
+    def check(text):
+        if text not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} (choose from "
+                f"{', '.join(map(repr, choices))})")
+        return text
+    return check
+
+
 def _spec_from(args):
     if args.alpha is None:
         raise DomainError("alpha must be given by flag or config file")
@@ -133,6 +146,9 @@ def _measure_from(args):
     if args.mu == "uniform":
         return InitialMeasure.uniform(args.mass)
     if args.mu == "delta":
+        if args.mass != 1.0:
+            raise DomainError(f"--mass {args.mass:g} with --mu delta: the "
+                              "smoothed delta has unit mass")
         return InitialMeasure.delta([0.0] * args.d, args.dt)
     raise DomainError(f"unsupported initial measure {args.mu!r}")
 
@@ -397,7 +413,8 @@ def build_parser(config=None):
         for name, kind, default in cmd.flags + run_flags:
             default = config.get(name.replace("-", "_"), default)
             choices = kind if isinstance(kind, tuple) else None
-            p.add_argument(f"--{name}", type=None if choices else kind,
+            p.add_argument(f"--{name}",
+                           type=_choice(choices) if choices else kind,
                            choices=choices, required=default is REQUIRED,
                            default=None if default is REQUIRED else default,
                            help="comma-separated numbers"

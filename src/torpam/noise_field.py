@@ -43,24 +43,29 @@ def grid_points(grid_n, d):
 
 def half_lattice(kmax, d):
     """Lattice points with 0 < |k|_inf <= kmax whose first nonzero
-    coordinate is positive (one representative per {k, -k} pair)."""
-    from .lattice import lattice_vectors
+    coordinate is positive (one representative per {k, -k} pair), in
+    lexicographic order: the flattened (-kmax..kmax)^d cube after its
+    centre."""
+    side = 2 * kmax + 1
+    flat = np.arange(side**d // 2 + 1, side**d)
+    return np.stack(np.unravel_index(flat, (side,) * d), axis=-1) - kmax
 
-    vecs = lattice_vectors(d, kmax)
-    keep = np.zeros(len(vecs), dtype=bool)
-    for i, k in enumerate(vecs):
-        nz = np.nonzero(k)[0]
-        keep[i] = k[nz[0]] > 0
-    return vecs[keep]
+
+def _half_phase(kmax, d):
+    """Per-mode phase (-1)^{|k|_1} over the half of the (-kmax..kmax)^d
+    cube with last index >= 0: on the grid x_j = -pi + 2 pi j / N,
+    e^{i k x_j} = (-1)^k e^{2 pi i k j / N}."""
+    phase = (-1.0) ** np.abs(np.arange(-kmax, kmax + 1))
+    return phase[kmax:] if d == 1 else phase[:, None] * phase[None, kmax:]
 
 
 def modes_to_grid(coeffs_by_mode, kmax, grid_n, d):
-    """Synthesize sum_k c_k e^{i k x} on the grid via the inverse FFT.
+    """Synthesize the real field sum_k c_k e^{i k x} on the grid via the
+    inverse real FFT.
 
-    ``coeffs_by_mode`` maps the full mode tensor indexed over
-    (-kmax..kmax)^d (shape (..., (2 kmax+1)^d as a d-cube)); leading axes
-    are batch.  On the grid x_j = -pi + 2 pi j / N the synthesis picks up
-    per-axis phases (-1)^k.
+    ``coeffs_by_mode`` is a Hermitian mode tensor (c_{-k} = conj c_k)
+    indexed over (-kmax..kmax)^d (shape (..., (2 kmax+1)^d as a d-cube));
+    leading axes are batch.  Only its half with last index >= 0 is read.
     """
     if grid_n < 2 * kmax + 1:
         raise AliasingError(f"grid_n={grid_n} cannot carry modes to |k|={kmax}")
@@ -68,34 +73,43 @@ def modes_to_grid(coeffs_by_mode, kmax, grid_n, d):
     cube = (2 * kmax + 1,) * d
     if shape[-d:] != cube:
         raise DomainError(f"mode tensor must end with shape {cube}")
-    batch = shape[:-d]
-    work = np.zeros(batch + (grid_n,) * d, dtype=complex)
-    ks = np.arange(-kmax, kmax + 1)
-    phase = (-1.0) ** np.abs(ks)
+    if d not in (1, 2):
+        raise DomainError("mode synthesis implemented for d in {1, 2}")
+    pos = coeffs_by_mode[..., kmax:] * _half_phase(kmax, d)
+    work = np.zeros(shape[:-d] + (grid_n,) * (d - 1) + (grid_n // 2 + 1,),
+                    dtype=complex)
     if d == 1:
-        work[..., ks % grid_n] = coeffs_by_mode * phase
-        return grid_n * np.fft.ifft(work, axis=-1)
-    if d == 2:
-        ph2 = phase[:, None] * phase[None, :]
-        idx = ks % grid_n
-        work[..., idx[:, None], idx[None, :]] = coeffs_by_mode * ph2
-        return grid_n**d * np.fft.ifft2(work, axes=(-2, -1))
-    raise DomainError("mode synthesis implemented for d in {1, 2}")
+        work[..., :kmax + 1] = pos
+        return np.fft.irfft(work, n=grid_n, axis=-1, norm="forward")
+    # rows k_1 = 0..kmax, then k_1 = -kmax..-1 wrapped to the end
+    work[..., :kmax + 1, :kmax + 1] = pos[..., kmax:, :]
+    work[..., grid_n - kmax:, :kmax + 1] = pos[..., :kmax, :]
+    return np.fft.irfft2(work, s=(grid_n, grid_n), axes=(-2, -1),
+                         norm="forward")
 
 
 def grid_to_modes(field, kmax, grid_n, d):
-    """Inverse of :func:`modes_to_grid` for band-limited fields."""
-    ks = np.arange(-kmax, kmax + 1)
-    phase = (-1.0) ** np.abs(ks)
+    """Inverse of :func:`modes_to_grid` for real band-limited fields: the
+    real FFT gives the modes with last index >= 0, and conjugation fills
+    the rest, so the returned tensor is exactly Hermitian."""
+    if grid_n < 2 * kmax + 1:
+        raise AliasingError(f"grid_n={grid_n} cannot carry modes to |k|={kmax}")
+    if d not in (1, 2):
+        raise DomainError("mode analysis implemented for d in {1, 2}")
+    out = np.empty(field.shape[:-d] + (2 * kmax + 1,) * d, dtype=complex)
     if d == 1:
-        hat = np.fft.fft(field, axis=-1) / grid_n
-        return hat[..., ks % grid_n] * phase
-    if d == 2:
-        hat = np.fft.fft2(field, axes=(-2, -1)) / grid_n**d
-        idx = ks % grid_n
-        ph2 = phase[:, None] * phase[None, :]
-        return hat[..., idx[:, None], idx[None, :]] * ph2
-    raise DomainError("mode analysis implemented for d in {1, 2}")
+        hat = np.fft.rfft(field, axis=-1, norm="forward")
+        out[..., kmax:] = hat[..., :kmax + 1] * _half_phase(kmax, 1)
+        out[..., :kmax] = np.conj(out[..., :kmax:-1])
+        return out
+    hat = np.fft.rfft2(field, axes=(-2, -1), norm="forward")
+    out[..., :kmax, kmax:] = hat[..., grid_n - kmax:, :kmax + 1]
+    out[..., kmax:, kmax:] = hat[..., :kmax + 1, :kmax + 1]
+    out[..., kmax:] *= _half_phase(kmax, 2)
+    out[..., :kmax] = np.conj(out[..., ::-1, :kmax:-1])
+    # the k_2 = 0 column mirrors onto itself: keep its k_1 >= 0 half
+    out[..., :kmax, kmax] = np.conj(out[..., :kmax:-1, kmax])
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,29 +148,23 @@ class IncrementSampler:
         self.amp_half = np.sqrt(
             dt * TWO_PI ** (-d / 2.0) * norm_sq ** (-spec.alpha) * TWO_PI ** (-d / 2.0))
         self.amp_zero = np.sqrt(dt * TWO_PI ** (-d) * spec.rho)
-        side = 2 * kmax + 1
-        if d == 1:
-            self.idx_pos = (self.half[:, 0] + kmax,)
-            self.idx_neg = (-self.half[:, 0] + kmax,)
-            self.idx_zero = (kmax,)
-            self.cube = (side,)
-        else:
-            self.idx_pos = (self.half[:, 0] + kmax, self.half[:, 1] + kmax)
-            self.idx_neg = (-self.half[:, 0] + kmax, -self.half[:, 1] + kmax)
-            self.idx_zero = (kmax, kmax)
-            self.cube = (side, side)
+        self.cube = (2 * kmax + 1,) * d
 
     def sample_modes(self, rng, n_batch=None):
-        """Hermitian mode tensor(s) of one increment; batch leading axis."""
+        """Hermitian mode tensor(s) of one increment; batch leading axis.
+
+        Flattened, the cube is the mirrored half lattice, the zero mode,
+        then the half lattice, so each part is written as one slice."""
         h = len(self.half)
         squeeze = n_batch is None
         nb = 1 if squeeze else n_batch
         g = rng.standard_normal((nb, 2 * h + 1))
-        modes = np.zeros((nb,) + self.cube, dtype=complex)
         xi = (g[:, 1:h + 1] + 1j * g[:, h + 1:]) / np.sqrt(2.0)
-        modes[(slice(None),) + self.idx_pos] = self.amp_half * xi
-        modes[(slice(None),) + self.idx_neg] = self.amp_half * np.conj(xi)
-        modes[(slice(None),) + self.idx_zero] = self.amp_zero * g[:, 0]
+        modes = np.empty((nb, 2 * h + 1), dtype=complex)
+        np.multiply(self.amp_half, xi, out=modes[:, h + 1:])
+        np.conjugate(modes[:, :h:-1], out=modes[:, :h])
+        modes[:, h] = self.amp_zero * g[:, 0]
+        modes = modes.reshape((nb,) + self.cube)
         return modes[0] if squeeze else modes
 
     def sample(self, seed, step, stream=0):
@@ -164,8 +172,7 @@ class IncrementSampler:
         rng = step_rng(seed, step, stream)
         modes = self.sample_modes(rng)
         field = modes_to_grid(modes, self.kmax, self.grid_n, self.spec.d)
-        return NoiseIncrement(dt=self.dt, grid_n=self.grid_n,
-                              values=np.real(field),
+        return NoiseIncrement(dt=self.dt, grid_n=self.grid_n, values=field,
                               seed_state=(int(seed), int(stream), int(step)),
                               kmax=self.kmax)
 
@@ -236,7 +243,7 @@ def empirical_covariance(spec, dt, grid_n, n_samples, seed, kmax=None):
     sampler = IncrementSampler(spec, kmax, grid_n, dt)
     rng = step_rng(seed, 0)
     modes = sampler.sample_modes(rng, n_batch=n_samples)
-    fields = np.real(modes_to_grid(modes, kmax, grid_n, 1))
+    fields = modes_to_grid(modes, kmax, grid_n, 1)
 
     emp = fields.T @ fields / n_samples
     prods_sq = (fields[:, :, None] * fields[:, None, :]) ** 2

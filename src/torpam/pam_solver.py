@@ -195,10 +195,10 @@ def _march(config, mu, seed, n_paths, output_times, stream=0):
     for nstep in range(config.n_steps):
         rng = step_rng(seed, nstep, stream=stream)
         dw_modes = sampler.sample_modes(rng, n_batch=n_paths)
-        dw = np.real(modes_to_grid(dw_modes, kmax, n, d))
+        dw = modes_to_grid(dw_modes, kmax, n, d)
         prod = grid_to_modes(u * dw, kmax, n, d)
         u_modes = grid_to_modes(u, kmax, n, d)
-        u = np.real(modes_to_grid(heat * (u_modes + lam * prod), kmax, n, d))
+        u = modes_to_grid(heat * (u_modes + lam * prod), kmax, n, d)
         t_now = t_start + (nstep + 1) * config.dt
         if not np.isfinite(u).all():
             raise NumericsError(f"non-finite field after step {nstep + 1}"
@@ -231,6 +231,9 @@ def _output_mask(config, t_start, output_times):
     mask = np.zeros(n + 1, dtype=bool)
     grid = t_start + config.dt * np.arange(n + 1)
     for t in np.atleast_1d(output_times):
+        if not grid[0] - config.dt / 2 <= t <= grid[-1] + config.dt / 2:
+            raise DomainError(f"output time {t:g} lies outside the march "
+                              f"[{grid[0]:g}, {grid[-1]:g}]")
         mask[int(np.argmin(np.abs(grid - t)))] = True
     return mask
 

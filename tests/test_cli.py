@@ -213,6 +213,8 @@ class TestBadInput:
         (["cov-rho-star"], "{not json"),
         (["cov-rho-star"], "[0.3]"),
         (["cov-rho-star"], '{"alpha": [0.3, 0.5]}'),
+        (["noise-sample", "--alpha", "0.3"], '{"format": "xml"}'),
+        (["holder", "--alpha", "0.3"], '{"mu": "delta"}'),
     ])
     def test_one_line_error_and_nothing_written(self, tmp_path, capsys,
                                                 argv, config):
@@ -236,3 +238,20 @@ class TestBadInput:
         assert run(tmp_path, "k", "kernel-eval", "--t", "1", "--x", "0",
                    "--seed", "3")[0] == 1
         assert run(tmp_path, "h", "holder", *S, "--threads", "2")[0] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--t-final", "0.02"],
+        ["mc-moments", "--t-list", "0.02", "--n-samples", "8"],
+    ])
+    def test_delta_with_mass_is_one(self, tmp_path, capsys, argv):
+        code, _ = run(tmp_path, "dm", *argv, *S, *SOLVER, "--mu", "delta",
+                      "--mass", "3")
+        assert code == 1
+        assert "--mass 3 with --mu delta" in capsys.readouterr().err
+
+    def test_output_time_outside_the_march_is_one(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "late", "simulate", *S, *SOLVER,
+                      "--t-final", "0.02", "--t-out", "5")
+        assert code == 1
+        assert "output time 5 lies outside the march" in \
+            capsys.readouterr().err

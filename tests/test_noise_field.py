@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torpam import noise_field as nf
 from torpam.covariance import NoiseSpec
 from torpam.errors import AliasingError, DomainError
 from torpam.heat_kernel import TWO_PI
+from torpam.lattice import lattice_vectors
 
 PI = math.pi
 
@@ -14,16 +17,19 @@ PI = math.pi
 class TestModeMaps:
     def test_roundtrip_1d(self, rng):
         c = rng.normal(size=9) + 1j * rng.normal(size=9)
+        c = c + np.conj(c[::-1])
         g = nf.modes_to_grid(c, 4, 32, 1)
         assert np.max(np.abs(nf.grid_to_modes(g, 4, 32, 1) - c)) < 1e-13
 
     def test_roundtrip_2d(self, rng):
         c = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        c = c + np.conj(c[::-1, ::-1])
         g = nf.modes_to_grid(c, 3, 16, 2)
         assert np.max(np.abs(nf.grid_to_modes(g, 3, 16, 2) - c)) < 1e-13
 
     def test_matches_direct_synthesis(self, rng):
         c = rng.normal(size=9) + 1j * rng.normal(size=9)
+        c = c + np.conj(c[::-1])
         xs = nf.grid_points(16, 1)[:, 0]
         ks = np.arange(-4, 5)
         direct = (c[None, :] * np.exp(1j * np.outer(xs, ks))).sum(axis=1)
@@ -33,8 +39,78 @@ class TestModeMaps:
         with pytest.raises(AliasingError):
             nf.modes_to_grid(np.zeros(9, dtype=complex), 4, 8, 1)
 
+    def test_analysis_aliasing_guard(self):
+        with pytest.raises(AliasingError):
+            nf.grid_to_modes(np.zeros(8), 4, 8, 1)
+
+
+def _flip(c, d):
+    """c_{-k}: the mode tensor reversed along its last d axes."""
+    return np.flip(c, axis=tuple(range(-d, 0)))
+
+
+class TestModeMapProperties:
+    @staticmethod
+    def _case(data):
+        d = data.draw(st.sampled_from([1, 2]))
+        kmax = data.draw(st.integers(1, 8))
+        grid_n = data.draw(st.integers(2 * kmax + 1, 40))
+        batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        return d, kmax, grid_n, batch, rng
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_analysis_inverts_synthesis(self, data):
+        d, kmax, grid_n, batch, rng = self._case(data)
+        shape = batch + (2 * kmax + 1,) * d
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        c = c + np.conj(_flip(c, d))
+        field = nf.modes_to_grid(c, kmax, grid_n, d)
+        assert field.dtype == np.float64
+        assert field.shape == batch + (grid_n,) * d
+        back = nf.grid_to_modes(field, kmax, grid_n, d)
+        assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_analysis_is_exactly_hermitian(self, data):
+        d, kmax, grid_n, batch, rng = self._case(data)
+        modes = nf.grid_to_modes(rng.normal(size=batch + (grid_n,) * d),
+                                 kmax, grid_n, d)
+        assert modes.shape == batch + (2 * kmax + 1,) * d
+        assert np.array_equal(modes, np.conj(_flip(modes, d)))
+
+
+def _scattered_cube(sampler, rng, n_batch):
+    """The sampler's mode cube as first built (zero fill, then a scatter of
+    the half lattice, its mirror and the zero mode), kept to pin the
+    layout of the draws bit for bit."""
+    kmax, d = sampler.kmax, sampler.spec.d
+    vecs = lattice_vectors(d, kmax)
+    half = vecs[[k[np.nonzero(k)[0][0]] > 0 for k in vecs]]
+    h = len(half)
+    g = rng.standard_normal((n_batch, 2 * h + 1))
+    modes = np.zeros((n_batch,) + (2 * kmax + 1,) * d, dtype=complex)
+    xi = (g[:, 1:h + 1] + 1j * g[:, h + 1:]) / np.sqrt(2.0)
+    every = (slice(None),)
+    modes[every + tuple(half.T + kmax)] = sampler.amp_half * xi
+    modes[every + tuple(kmax - half.T)] = sampler.amp_half * np.conj(xi)
+    modes[every + (kmax,) * d] = sampler.amp_zero * g[:, 0]
+    return modes
+
 
 class TestSampler:
+    @pytest.mark.parametrize("d, kmax, grid_n", [(1, 16, 33), (1, 0, 8),
+                                                 (2, 5, 12)])
+    @pytest.mark.parametrize("n_batch", [None, 7])
+    def test_sample_modes_bitwise(self, d, kmax, grid_n, n_batch):
+        spec = NoiseSpec(d=d, alpha=0.3 if d == 1 else 0.8, rho=1.0)
+        sampler = nf.IncrementSampler(spec, kmax, grid_n, 0.1)
+        modes = sampler.sample_modes(nf.step_rng(8, 3, 1), n_batch=n_batch)
+        frozen = _scattered_cube(sampler, nf.step_rng(8, 3, 1), n_batch or 1)
+        assert modes.tobytes() == (frozen if n_batch else frozen[0]).tobytes()
+
     def test_determinism(self, spec_d1):
         a = nf.sample_increment(spec_d1, 16, 0.1, 33, seed=42, step=3)
         b = nf.sample_increment(spec_d1, 16, 0.1, 33, seed=42, step=3)

@@ -213,3 +213,25 @@ class TestNonFiniteGuard:
         with pytest.raises(NumericsError, match="step 2 of 10"):
             ps.solve_ensemble(self.cfg, ps.InitialMeasure.uniform(1.0),
                               seed=0, n_paths=3, output_times=[0.1])
+
+
+class TestOutputTimes:
+    cfg = ps.SolverConfig(spec=NoiseSpec(d=1, alpha=0.3, rho=1.0, lam=1.0),
+                          grid_n=16, mode_k=5, dt=0.01, t_final=0.1)
+
+    @pytest.mark.parametrize("t_out", [5.0, 0.1051, -0.0051])
+    def test_time_outside_the_march_is_refused(self, t_out):
+        with pytest.raises(DomainError, match="outside the march"):
+            ps.solve(self.cfg, ps.InitialMeasure.uniform(1.0), seed=0,
+                     output_times=[t_out])
+
+    def test_delta_march_starts_at_smoothing_time(self):
+        mu = ps.InitialMeasure.delta([0.0], 0.05)
+        with pytest.raises(DomainError, match=r"\[0.05, 0.15\]"):
+            ps.solve_ensemble(self.cfg, mu, seed=0, n_paths=2,
+                              output_times=[0.0])
+
+    def test_within_half_a_step_snaps(self):
+        traj = ps.solve(self.cfg, ps.InitialMeasure.uniform(1.0), seed=0,
+                        output_times=[-0.0049, 0.1049])
+        assert np.allclose(traj.times, [0.0, 0.1])
