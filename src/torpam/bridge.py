@@ -21,6 +21,7 @@ from scipy.special import logsumexp
 from .errors import DomainError
 from .heat_kernel import (TWO_PI, as_coords, gauss_kernel, heat_kernel,
                           log_heat_kernel)
+from .lattice import cube_points
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,7 @@ def _log_image_sum(t, s, x0, x, z):
     finite where every single Gaussian underflows."""
     x0a, xa, za = as_coords(x0), as_coords(x), as_coords(z)
     d = x0a.shape[-1]
-    shifts = np.array(np.meshgrid(*([[-TWO_PI, 0.0, TWO_PI]] * d),
-                                  indexing="ij")).reshape(d, -1).T
+    shifts = cube_points([-TWO_PI, 0.0, TWO_PI], d)
     tau = s * (t - s) / t
     frac = np.asarray(s / t)
     logs = []

@@ -23,7 +23,7 @@ from scipy import integrate, special
 from .errors import DalangViolation, DomainError, SingularityError
 from .heat_kernel import (TWO_PI, as_coords, heat_kernel, signed_mod,
                           theta_eps)
-from .lattice import lattice_vectors
+from .lattice import cube_points, lattice_vectors
 
 DEFAULT_KMAX = {1: 24, 2: 12, 3: 8}
 
@@ -236,18 +236,13 @@ def rho_star(alpha, d, n_grid=None, kmax=None):
     (2 pi)^{-d/2} / Gamma(alpha+1) + (2 pi)^{d/2} 2^alpha Theta_{1,d},
     which is known not to be sharp.
     """
-    if n_grid is None:
-        n_grid = 4096 if d == 1 else 181
-    spec0 = NoiseSpec(d=d, alpha=alpha, rho=0.0, lam=1.0)
-    axis = np.linspace(-math.pi, math.pi, n_grid, endpoint=False)
-    if d == 1:
-        pts = axis[axis != 0.0][:, None]
-    elif d == 2:
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-        pts = pts[np.any(pts != 0.0, axis=-1)]
-    else:
+    if d > 2:
         raise DomainError("rho_star grid scan implemented for d in {1, 2}")
+    if n_grid is None:
+        n_grid = {1: 4096, 2: 181}[d]
+    spec0 = NoiseSpec(d=d, alpha=alpha, rho=0.0, lam=1.0)
+    pts = cube_points(np.linspace(-math.pi, math.pi, n_grid, endpoint=False), d)
+    pts = pts[np.any(pts != 0.0, axis=-1)]
     vals = covariance_eval_batch(spec0, pts, kmax=kmax)
     grid_min = float(np.min(vals))
     est = TWO_PI**d * max(0.0, -grid_min)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .lattice import cube_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -278,15 +279,10 @@ def kernel_sandwich_check(t, x, config=DEFAULT_CONFIG):
 
 def flatness_sup_error(t, d, n_grid=2001, config=DEFAULT_CONFIG):
     """sup_x |G_d(t, x) - (2 pi)^{-d}| over a fine grid (d <= 2)."""
-    xs = np.linspace(-math.pi, math.pi, n_grid, endpoint=False)
-    if d == 1:
-        vals = heat_kernel(t, xs[:, None], config)
-    elif d == 2:
-        xx, yy = np.meshgrid(xs, xs, indexing="ij")
-        pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-        vals = heat_kernel(t, pts, config)
-    else:
+    if d > 2:
         raise DomainError("flatness scan implemented for d in {1, 2}")
+    xs = np.linspace(-math.pi, math.pi, n_grid, endpoint=False)
+    vals = heat_kernel(t, cube_points(xs, d), config)
     return float(np.max(np.abs(vals - TWO_PI ** (-d))))
 
 

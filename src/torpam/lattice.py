@@ -7,6 +7,13 @@ from functools import lru_cache
 import numpy as np
 
 
+def cube_points(axis, d):
+    """The d-fold product of ``axis`` as a (len(axis)^d, d) array in C
+    order: the last coordinate varies fastest."""
+    mesh = np.meshgrid(*[axis] * d, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 @lru_cache(maxsize=64)
 def lattice_r2(d, kmax):
     """Multiplicities of squared norms on {k in Z^d, 0 < |k|_inf <= kmax}.
@@ -16,9 +23,7 @@ def lattice_r2(d, kmax):
     ``r2[i]``.  Radially symmetric sums collapse to a histogram contraction,
     which keeps d = 2 and d = 3 sums cheap.
     """
-    axes = [np.arange(-kmax, kmax + 1)] * d
-    grids = np.meshgrid(*axes, indexing="ij")
-    sq = sum(g.astype(np.int64) ** 2 for g in grids).ravel()
+    sq = np.sum(cube_points(np.arange(-kmax, kmax + 1), d) ** 2, axis=-1)
     sq = sq[sq > 0]
     r2, counts = np.unique(sq, return_counts=True)
     return r2.astype(float), counts.astype(float)
@@ -27,11 +32,8 @@ def lattice_r2(d, kmax):
 @lru_cache(maxsize=64)
 def lattice_vectors(d, kmax):
     """All lattice points with 0 < |k|_inf <= kmax, as an (n, d) int array."""
-    axes = [np.arange(-kmax, kmax + 1)] * d
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    mask = np.any(pts != 0, axis=-1)
-    return pts[mask]
+    pts = cube_points(np.arange(-kmax, kmax + 1), d)
+    return pts[np.any(pts != 0, axis=-1)]
 
 
 def zeta_lattice(d, exponent, kmax=128):

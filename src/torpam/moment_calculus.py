@@ -34,10 +34,18 @@ from .lattice import lattice_r2
 _LOG_CUT = 38.0
 
 
+# lattice cutoffs: the cap of the exact k1 sums, the Laplace-sum default
+def _exact_sum_cap(d):
+    return 8192 if d == 1 else 512
+
+
+def _laplace_kmax(d):
+    return 4096 if d == 1 else 512
+
+
 def _k1_kmax(s_min, d):
     k = int(math.ceil(math.sqrt(_LOG_CUT / max(s_min, 1e-12))))
-    cap = 8192 if d == 1 else 512
-    k = min(max(k, 8), cap)
+    k = min(max(k, 8), _exact_sum_cap(d))
     # quantize so the lattice cache is reused across nearby calls
     return 1 << (k - 1).bit_length()
 
@@ -101,7 +109,7 @@ def k1_integral(t, spec, kmax=2048):
     if t < 0.0:
         raise DomainError("t must be nonnegative")
     spec.require_dalang()
-    r2, counts = lattice_r2(spec.d, min(kmax, 8192 if spec.d == 1 else 512))
+    r2, counts = lattice_r2(spec.d, min(kmax, _exact_sum_cap(spec.d)))
     w = counts * r2 ** (-spec.alpha - 1.0)
     main = float(np.sum(w * (1.0 - np.exp(-t * r2))))
     # beyond the cutoff the (1 - e^{-t r^2}) factor is essentially constant
@@ -126,7 +134,7 @@ def k1_laplace(gamma, spec, kmax=None):
     spec.require_dalang()
     d, a = spec.d, spec.alpha
     if kmax is None:
-        kmax = 4096 if d == 1 else 512
+        kmax = _laplace_kmax(d)
     r2, counts = lattice_r2(d, kmax)
     main = float(np.sum(counts * r2 ** (-a) / (r2 + gamma)))
 
@@ -230,7 +238,7 @@ def _first_cell_moments(dt, spec, kmax=2048):
     p = a - d / 2.0
     c_riesz = riesz_gaussian_constant(d, a)
     w0 = k1_integral(dt, spec, kmax) + c_riesz * dt ** (p + 1.0) / (p + 1.0) + dt
-    r2, counts = lattice_r2(d, min(kmax, 8192 if d == 1 else 512))
+    r2, counts = lattice_r2(d, min(kmax, _exact_sum_cap(d)))
     x = dt * r2
     mode_m1 = float(np.sum(counts * r2 ** (-a) * (1.0 - np.exp(-x) * (1.0 + x)) / (r2 * r2)))
     w1 = TWO_PI ** (-d / 2.0) * (spec.rho * dt * dt / 2.0 + mode_m1)
@@ -483,7 +491,7 @@ def gamma0(lam, spec, kmax=None, rtol=1e-12):
         raise DomainError("gamma0 requires lambda != 0")
     spec.require_dalang()
     if kmax is None:
-        kmax = 4096 if spec.d == 1 else 512
+        kmax = _laplace_kmax(spec.d)
 
     def g(x):
         return lam2 * theta_gamma(x, spec, kmax) - 1.0

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .covariance import covariance_truncated
 from .errors import AliasingError, DomainError
 from .heat_kernel import TWO_PI
+from .lattice import cube_points, lattice_vectors
 
 BINARY_MAGIC = b"TPNF"
 
@@ -34,57 +37,58 @@ def step_rng(seed, step, stream=0):
 
 def grid_points(grid_n, d):
     """Uniform grid x_j = -pi + 2 pi j / N per axis; shape (N^d, d)."""
-    axis = -np.pi + TWO_PI * np.arange(grid_n) / grid_n
-    if d == 1:
-        return axis[:, None]
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return cube_points(-np.pi + TWO_PI * np.arange(grid_n) / grid_n, d)
 
 
-def half_lattice(kmax, d):
-    """Lattice points with 0 < |k|_inf <= kmax whose first nonzero
-    coordinate is positive (one representative per {k, -k} pair), in
-    lexicographic order: the flattened (-kmax..kmax)^d cube after its
-    centre."""
-    side = 2 * kmax + 1
-    flat = np.arange(side**d // 2 + 1, side**d)
-    return np.stack(np.unravel_index(flat, (side,) * d), axis=-1) - kmax
-
-
-def _half_phase(kmax, d):
-    """Per-mode phase (-1)^{|k|_1} over the half of the (-kmax..kmax)^d
-    cube with last index >= 0: on the grid x_j = -pi + 2 pi j / N,
-    e^{i k x_j} = (-1)^k e^{2 pi i k j / N}."""
-    phase = (-1.0) ** np.abs(np.arange(-kmax, kmax + 1))
-    return phase[kmax:] if d == 1 else phase[:, None] * phase[None, kmax:]
+@lru_cache(maxsize=64)
+def _half_cube(kmax, grid_n, d):
+    """For the half of the (-kmax..kmax)^d cube with last index >= 0: its
+    phase (-1)^{|k|_1} (on x_j = -pi + 2 pi j / N, e^{i k x_j} =
+    (-1)^k e^{2 pi i k j / N}); one slice pair per sign pattern of the
+    first d-1 axes, half cube to real-FFT spectrum (k < 0 wrapped to
+    N-kmax..N-1); and, for j = d-1 .. 0, the full-cube slice with k_j < 0
+    and every later axis at k = 0, paired with the slice of its mirror -k.
+    """
+    if grid_n < 2 * kmax + 1:
+        raise AliasingError(f"grid_n={grid_n} cannot carry modes to |k|={kmax}")
+    sign = (-1.0) ** np.abs(np.arange(-kmax, kmax + 1))
+    phase = sign[kmax:]
+    for _ in range(d - 1):
+        phase = np.multiply.outer(sign, phase)
+    phase.setflags(write=False)  # shared by every caller of the cache
+    nonneg = (slice(kmax, None), slice(None, kmax + 1))
+    neg = (slice(None, kmax), slice(grid_n - kmax, None))
+    blocks = tuple(
+        ((..., *(a[0] for a in pattern), slice(None)),
+         (..., *(a[1] for a in pattern), slice(None, kmax + 1)))
+        for pattern in product((nonneg, neg), repeat=d - 1))
+    zeros = [(kmax,) * (d - 1 - j) for j in range(d)]
+    mirrors = tuple(
+        ((..., *(slice(None),) * j, slice(None, kmax), *zeros[j]),
+         (..., *(slice(None, None, -1),) * j, slice(None, kmax, -1), *zeros[j]))
+        for j in reversed(range(d)))
+    return phase, blocks, mirrors
 
 
 def modes_to_grid(coeffs_by_mode, kmax, grid_n, d):
     """Synthesize the real field sum_k c_k e^{i k x} on the grid via the
-    inverse real FFT.
+    inverse real FFT over the last d axes.
 
     ``coeffs_by_mode`` is a Hermitian mode tensor (c_{-k} = conj c_k)
     indexed over (-kmax..kmax)^d (shape (..., (2 kmax+1)^d as a d-cube));
     leading axes are batch.  Only its half with last index >= 0 is read.
     """
-    if grid_n < 2 * kmax + 1:
-        raise AliasingError(f"grid_n={grid_n} cannot carry modes to |k|={kmax}")
+    phase, blocks, _ = _half_cube(kmax, grid_n, d)
     shape = coeffs_by_mode.shape
     cube = (2 * kmax + 1,) * d
     if shape[-d:] != cube:
         raise DomainError(f"mode tensor must end with shape {cube}")
-    if d not in (1, 2):
-        raise DomainError("mode synthesis implemented for d in {1, 2}")
-    pos = coeffs_by_mode[..., kmax:] * _half_phase(kmax, d)
+    pos = coeffs_by_mode[..., kmax:]
     work = np.zeros(shape[:-d] + (grid_n,) * (d - 1) + (grid_n // 2 + 1,),
                     dtype=complex)
-    if d == 1:
-        work[..., :kmax + 1] = pos
-        return np.fft.irfft(work, n=grid_n, axis=-1, norm="forward")
-    # rows k_1 = 0..kmax, then k_1 = -kmax..-1 wrapped to the end
-    work[..., :kmax + 1, :kmax + 1] = pos[..., kmax:, :]
-    work[..., grid_n - kmax:, :kmax + 1] = pos[..., :kmax, :]
-    return np.fft.irfft2(work, s=(grid_n, grid_n), axes=(-2, -1),
+    for cube_part, spectrum_part in blocks:
+        np.multiply(pos[cube_part], phase[cube_part], out=work[spectrum_part])
+    return np.fft.irfftn(work, s=(grid_n,) * d, axes=tuple(range(-d, 0)),
                          norm="forward")
 
 
@@ -92,23 +96,14 @@ def grid_to_modes(field, kmax, grid_n, d):
     """Inverse of :func:`modes_to_grid` for real band-limited fields: the
     real FFT gives the modes with last index >= 0, and conjugation fills
     the rest, so the returned tensor is exactly Hermitian."""
-    if grid_n < 2 * kmax + 1:
-        raise AliasingError(f"grid_n={grid_n} cannot carry modes to |k|={kmax}")
-    if d not in (1, 2):
-        raise DomainError("mode analysis implemented for d in {1, 2}")
+    phase, blocks, mirrors = _half_cube(kmax, grid_n, d)
+    hat = np.fft.rfftn(field, axes=tuple(range(-d, 0)), norm="forward")
     out = np.empty(field.shape[:-d] + (2 * kmax + 1,) * d, dtype=complex)
-    if d == 1:
-        hat = np.fft.rfft(field, axis=-1, norm="forward")
-        out[..., kmax:] = hat[..., :kmax + 1] * _half_phase(kmax, 1)
-        out[..., :kmax] = np.conj(out[..., :kmax:-1])
-        return out
-    hat = np.fft.rfft2(field, axes=(-2, -1), norm="forward")
-    out[..., :kmax, kmax:] = hat[..., grid_n - kmax:, :kmax + 1]
-    out[..., kmax:, kmax:] = hat[..., :kmax + 1, :kmax + 1]
-    out[..., kmax:] *= _half_phase(kmax, 2)
-    out[..., :kmax] = np.conj(out[..., ::-1, :kmax:-1])
-    # the k_2 = 0 column mirrors onto itself: keep its k_1 >= 0 half
-    out[..., :kmax, kmax] = np.conj(out[..., :kmax:-1, kmax])
+    pos = out[..., kmax:]
+    for cube_part, spectrum_part in blocks:
+        np.multiply(hat[spectrum_part], phase[cube_part], out=pos[cube_part])
+    for target, mirror in mirrors:
+        out[target] = np.conj(out[mirror])
     return out
 
 
@@ -126,8 +121,8 @@ class NoiseIncrement:
 class IncrementSampler:
     """Samples real noise increments with covariance dt * f_truncated.
 
-    Precomputes the half-lattice index maps once, then each step costs one
-    batch of standard normals plus one inverse FFT.
+    Precomputes the half-lattice amplitudes once; each step then costs one
+    batch of standard normals plus one inverse real FFT.
     """
 
     def __init__(self, spec, kmax, grid_n, dt):
@@ -136,13 +131,16 @@ class IncrementSampler:
         if grid_n < 2 * kmax + 1:
             raise AliasingError(
                 f"grid_n={grid_n} < 2*kmax+1={2 * kmax + 1}: modes alias")
-        if spec.d not in (1, 2):
+        if spec.d > 2:
             raise DomainError("sampling implemented for d in {1, 2}")
         self.spec = spec
         self.kmax = kmax
         self.grid_n = grid_n
         self.dt = dt
-        self.half = half_lattice(kmax, spec.d)
+        # the half lattice: the cube after its centre, in C order, holds
+        # one k of each {k, -k} pair (its first nonzero coordinate > 0)
+        cube = cube_points(np.arange(-kmax, kmax + 1), spec.d)
+        self.half = cube[len(cube) // 2 + 1:]
         norm_sq = np.sum(self.half.astype(float) ** 2, axis=-1)
         d = spec.d
         self.amp_half = np.sqrt(
@@ -201,12 +199,8 @@ def wiener_functional(increments, phi):
     for inc in increments:
         if inc.grid_n != base.grid_n or inc.dt != base.dt:
             raise DomainError("increments must share grid and dt")
-        total += grid_inner(inc.values, phi, _dim_of(inc))
+        total += grid_inner(inc.values, phi, inc.values.ndim)
     return float(total)
-
-
-def _dim_of(inc):
-    return inc.values.ndim
 
 
 def functional_variance(spec, phi_modes):
@@ -214,18 +208,10 @@ def functional_variance(spec, phi_modes):
     (phi = (2 pi)^{-d/2} sum a_k e^{ikx}): rho |a_0|^2 + sum |a_k|^2 |k|^{-2a}."""
     kmax = (phi_modes.shape[-1] - 1) // 2
     d = phi_modes.ndim
-    from .lattice import lattice_vectors
-
     vecs = lattice_vectors(d, kmax)
-    if d == 1:
-        idx = (vecs[:, 0] + kmax,)
-        zero = (kmax,)
-    else:
-        idx = (vecs[:, 0] + kmax, vecs[:, 1] + kmax)
-        zero = (kmax, kmax)
     norm_sq = np.sum(vecs.astype(float) ** 2, axis=-1)
-    vals = np.abs(phi_modes[idx]) ** 2 * norm_sq ** (-spec.alpha)
-    return float(spec.rho * np.abs(phi_modes[zero]) ** 2 + np.sum(vals))
+    vals = np.abs(phi_modes[tuple(vecs.T + kmax)]) ** 2 * norm_sq ** (-spec.alpha)
+    return float(spec.rho * np.abs(phi_modes[(kmax,) * d]) ** 2 + np.sum(vals))
 
 
 def empirical_covariance(spec, dt, grid_n, n_samples, seed, kmax=None):

@@ -22,14 +22,16 @@ import numpy as np
 from .covariance import NoiseSpec
 from .errors import AliasingError, DomainError, NumericsError
 from .heat_kernel import TWO_PI, as_coords, heat_kernel
+from .lattice import cube_points
 from .noise_field import (IncrementSampler, grid_points, grid_to_modes,
                           modes_to_grid, step_rng)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialMeasure:
     """Finite nonnegative initial measure: uniform mass, a grid density,
-    point atoms, or a smoothed delta."""
+    point atoms, or a smoothed delta.  Two measures are equal when every
+    field is, the density by shape and values."""
 
     variant: str
     mass: float = 1.0
@@ -37,6 +39,18 @@ class InitialMeasure:
     atoms: tuple = ()
     x0: tuple = (0.0,)
     t0: float = 0.0
+
+    def _key(self):
+        dens = self.density
+        return (self.variant, self.mass, self.atoms, self.x0, self.t0,
+                None if dens is None else (dens.shape, tuple(dens.flat)))
+
+    def __eq__(self, other):
+        return (self._key() == other._key()
+                if isinstance(other, InitialMeasure) else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def uniform(cls, mass=1.0):
@@ -123,7 +137,7 @@ class SolverConfig:
             raise AliasingError(
                 f"grid_n={self.grid_n} < {need} required for mode_k={self.mode_k}"
                 f" (dealias={self.dealias})")
-        if self.spec.d not in (1, 2):
+        if self.spec.d > 2:
             raise DomainError("solver implemented for d in {1, 2}")
 
     @property
@@ -143,13 +157,9 @@ class Trajectory:
 
 
 def _heat_factor(config):
-    d = config.spec.d
-    kmax = config.mode_k
+    d, kmax = config.spec.d, config.mode_k
     ks = np.arange(-kmax, kmax + 1).astype(float)
-    if d == 1:
-        sq = ks**2
-    else:
-        sq = ks[:, None] ** 2 + ks[None, :] ** 2
+    sq = np.sum(cube_points(ks, d) ** 2, axis=-1).reshape((2 * kmax + 1,) * d)
     return np.exp(-sq * config.dt / 2.0)
 
 

@@ -9,7 +9,7 @@ from torpam import noise_field as nf
 from torpam.covariance import NoiseSpec
 from torpam.errors import AliasingError, DomainError
 from torpam.heat_kernel import TWO_PI
-from torpam.lattice import lattice_vectors
+from torpam.lattice import cube_points, lattice_vectors
 
 PI = math.pi
 
@@ -35,6 +35,17 @@ class TestModeMaps:
         direct = (c[None, :] * np.exp(1j * np.outer(xs, ks))).sum(axis=1)
         assert np.max(np.abs(direct - nf.modes_to_grid(c, 4, 16, 1))) < 1e-12
 
+    def test_matches_direct_synthesis_3d(self, rng):
+        kmax, n = 2, 8
+        shape = (2 * kmax + 1,) * 3
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        c = c + np.conj(c[::-1, ::-1, ::-1])
+        ks = cube_points(np.arange(-kmax, kmax + 1), 3)
+        waves = np.exp(1j * nf.grid_points(n, 3) @ ks.T)
+        direct = np.einsum("pk,k->p", waves, c.ravel())
+        field = nf.modes_to_grid(c, kmax, n, 3)
+        assert np.max(np.abs(direct - field.ravel())) < 1e-12
+
     def test_aliasing_guard(self):
         with pytest.raises(AliasingError):
             nf.modes_to_grid(np.zeros(9, dtype=complex), 4, 8, 1)
@@ -52,9 +63,9 @@ def _flip(c, d):
 class TestModeMapProperties:
     @staticmethod
     def _case(data):
-        d = data.draw(st.sampled_from([1, 2]))
-        kmax = data.draw(st.integers(1, 8))
-        grid_n = data.draw(st.integers(2 * kmax + 1, 40))
+        d = data.draw(st.sampled_from([1, 2, 3]))
+        kmax = data.draw(st.integers(1, 3 if d == 3 else 8))
+        grid_n = data.draw(st.integers(2 * kmax + 1, 12 if d == 3 else 40))
         batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         return d, kmax, grid_n, batch, rng

@@ -32,6 +32,18 @@ class TestInitialMeasure:
         with pytest.raises(DomainError):
             ps.InitialMeasure.delta([0.0], 0.0)
 
+    def test_value_equality_and_hash(self):
+        a = ps.InitialMeasure.from_density(np.ones(4))
+        b = ps.InitialMeasure.from_density(np.ones(4))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != ps.InitialMeasure.from_density([1.0, 1.0, 1.0, 2.0])
+        assert a != ps.InitialMeasure.from_density(np.ones((2, 2)))
+        assert a != ps.InitialMeasure.uniform()
+        atoms = [([0.1], 0.5), ([1.0], 1.5)]
+        assert (ps.InitialMeasure.point_atoms(atoms)
+                == ps.InitialMeasure.point_atoms(atoms))
+
 
 class TestJ0:
     def test_uniform_stationary(self):
