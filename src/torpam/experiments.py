@@ -100,6 +100,8 @@ def covariance_infimum(spec, n_grid=2048):
     second-moment lower bound when it is positive."""
     from .covariance import covariance_eval_batch
 
+    if spec.d != 1:
+        raise DomainError(f"covariance_infimum scans d = 1 only, got d = {spec.d}")
     xs = np.linspace(-math.pi, math.pi, n_grid, endpoint=False)
     xs = xs[xs != 0.0][:, None]
     return float(np.min(covariance_eval_batch(spec, xs)))
@@ -155,15 +157,6 @@ class ResolventTable:
     @property
     def n_max(self):
         return len(self.values) - 1
-
-    def partial_kappa(self, lam=None):
-        """Truncated resolvent sum_{n <= n_max} lambda^{2n} L_n on the grid."""
-        if lam is None:
-            lam = self.spec.lam
-        out = np.zeros_like(self.values[0])
-        for n, level in enumerate(self.values):
-            out += float(lam) ** (2 * n) * level
-        return out
 
 
 def _kernel_matrix(t, rows, cols):

@@ -15,7 +15,7 @@ numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,26 +37,16 @@ class KernelConfig:
     t_switch : diffusion time at which evaluation switches from the
         Gaussian-image sum to the Fourier cosine series.  At ``2*pi`` both
         series need under ten terms for a 1e-15 relative tail.
-    theta_table : lazily filled cache of the flattening constants, keyed by
-        ``(eps, d)``.
     """
 
     tail_tol: float = 1e-15
     t_switch: float = TWO_PI
-    theta_table: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.tail_tol < 1.0):
             raise DomainError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
         if self.t_switch <= 0.0:
             raise DomainError(f"t_switch must be positive, got {self.t_switch}")
-
-    def theta(self, eps, d):
-        """Flattening constant Theta_{eps,d}, cached per (eps, d)."""
-        key = (float(eps), int(d))
-        if key not in self.theta_table:
-            self.theta_table[key] = theta_eps(*key)
-        return self.theta_table[key]
 
 
 DEFAULT_CONFIG = KernelConfig()

@@ -2,7 +2,7 @@
 
 Implements the mode-sum kernel ``k1``, the Riesz-Gaussian kernel
 ``k2 = C s^{alpha - d/2}``, the convolution family ``h_n`` and its
-exponential generating series ``H_lambda``, the Laplace-side function
+generating function ``H_lambda``, the Laplace-side function
 ``Theta_gamma`` with its root ``gamma0`` (the moment growth-rate bound),
 the p-th moment upper bound, the second-moment lower bound, and the
 Hoelder exponent arithmetic.
@@ -10,8 +10,9 @@ Hoelder exponent arithmetic.
 The ``h_n`` rows are computed by piecewise-linear product-integration
 convolution quadrature: the moments of the kernel (with its integrable
 power singularity) are exact per cell, and each level is one direct
-convolution.  Anything less than a second-order rule biases the
-exponential growth rate of the series at O(dt).
+convolution.  ``H_lambda`` is marched with the same weights as the
+solution of its renewal equation.  Anything less than a second-order rule
+biases the exponential growth rate at O(dt).
 """
 
 from __future__ import annotations
@@ -199,22 +200,19 @@ def k2_laplace_constant(d, alpha):
 
 
 # ---------------------------------------------------------------------------
-# h_n rows and the series H_lambda
+# h_n rows and the generating function H_lambda
 
 
 @dataclass(frozen=True)
 class HnTable:
     """Samples of h_0..h_{n_max} on a uniform time grid.
 
-    ``values[n, i] = h_n(t_grid[i])``; ``hstar_combined`` holds
-    k1 + k2 + 1 at the interior grid nodes (entry 0 is unused and set to
-    nan since the combined kernel diverges at 0).
+    ``values[n, i] = h_n(t_grid[i])``.
     """
 
     spec: NoiseSpec
     t_grid: np.ndarray
     values: np.ndarray
-    hstar_combined: np.ndarray
 
     def to_json(self):
         return json.dumps({
@@ -258,7 +256,7 @@ def _pi_weights(spec, n_nodes, dt):
     carries the integrable singularity and is done in closed form; the
     remaining cells use 3-point Gauss-Legendre on the smooth kernel.
     A second-order rule here matters: a first-order cell rule biases the
-    exponential growth rate of the h-series at O(dt).
+    exponential growth rate of h_n and H_lambda at O(dt).
     """
     n_cells = n_nodes  # one extra cell for the boundary correction at i = N
     W0 = np.zeros(n_cells + 1)
@@ -293,7 +291,7 @@ def _convolve_level(prev, P, A):
     return out
 
 
-def hn_table(spec, n_max, t_grid, kmax=None):
+def hn_table(spec, n_max, t_grid):
     """Rows h_0..h_{n_max} on a uniform grid starting at 0.
 
     h_0 = 1 and h_{n+1}(t) = int_0^t h_n(t - s) (k1(s) + k2(s) + 1) ds.
@@ -309,83 +307,49 @@ def hn_table(spec, n_max, t_grid, kmax=None):
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
 
-    kern = np.full(t.size, np.nan)
-    kern[1:] = k1(t[1:], spec, kmax) + k2(t[1:], spec) + 1.0
     P, A = _pi_weights(spec, t.size, dt)
 
     rows = np.zeros((n_max + 1, t.size))
     rows[0] = 1.0
     for n in range(n_max):
         rows[n + 1] = _convolve_level(rows[n], P, A)
-    return HnTable(spec=spec, t_grid=t, values=rows, hstar_combined=kern)
+    return HnTable(spec=spec, t_grid=t, values=rows)
 
 
-def _series_budgets(spec, t_max, lam2):
+def _march_step(spec, t_max, lam2):
+    """Default step of the H_lambda march: min(0.02, t_max/256), and at
+    strong coupling also 0.2/gamma0 so that each e-fold of the growth is
+    resolved.  Coupling counts as strong once 4 B + 2 M >= 345, with B the
+    linear budget lambda^2 int_0^t (k1 + k2 + 1) and M the Mittag-Leffler
+    peak (lambda^2 B_riesz)^(1/q) of the power-kernel part: there the level
+    expansion needs over 600 terms and the h_n concentrate at the right end
+    of the interval."""
+    dt = min(0.02, t_max / 256.0)
     q = spec.alpha - spec.d / 2.0 + 1.0
     riesz_budget = riesz_gaussian_constant(spec.d, spec.alpha) * t_max**q / q
     budget = lam2 * (k1_integral(t_max, spec) + riesz_budget + t_max)
-    # the power-kernel part decays like a Mittag-Leffler tail whose term
-    # peak sits near (lam^2 * budget)^(1/q), beyond the linear scale
     ml_peak = (lam2 * riesz_budget) ** (1.0 / q)
-    return budget, ml_peak
-
-
-def _h_renewal_march(spec, t_arr, lam2, dt=None):
-    """H as the solution of the renewal equation H = 1 + lam^2 (k * H),
-    marched with the product-integration weights.
-
-    This is the accurate route at strong coupling: there the series levels
-    h_n concentrate like t^{q n} near their right endpoint and no uniform
-    grid can carry them, while H itself stays smooth.  The step adapts to
-    the growth rate via gamma0 so each e-fold is resolved.
-    """
-    t_max = float(np.max(t_arr))
-    if dt is None:
+    if 4.0 * budget + 2.0 * ml_peak >= 345.0:
         try:
             rate = gamma0(math.sqrt(lam2), spec).gamma0
         except NumericsError:
             rate = 1.0
-        dt = min(0.02, t_max / 256.0, 0.2 / max(rate, 1e-12))
-    n_nodes = int(math.ceil(t_max / dt)) + 1
-    grid = np.linspace(0.0, dt * (n_nodes - 1), n_nodes)
-    P, A = _pi_weights(spec, grid.size, dt)
-    while lam2 * P[0] >= 0.5:
-        dt /= 2.0
-        n_nodes = int(math.ceil(t_max / dt)) + 1
-        grid = np.linspace(0.0, dt * (n_nodes - 1), n_nodes)
-        P, A = _pi_weights(spec, grid.size, dt)
-    h = np.ones(grid.size)
-    denom = 1.0 - lam2 * P[0]
-    with np.errstate(over="ignore"):
-        for i in range(1, grid.size):
-            conv = float(np.dot(P[1:i + 1][::-1], h[:i])) - A[i + 1] * h[0]
-            h[i] = (1.0 + lam2 * conv) / denom
-            if not np.isfinite(h[i]):
-                raise NumericsError(
-                    f"H_lambda overflow at t={grid[i]:.3g}; "
-                    "growth exceeds double range")
-    idx = np.clip(np.rint(t_arr / dt).astype(int), 0, n_nodes - 1)
-    return h[idx], {"method": "march", "dt": dt, "n_nodes": n_nodes}
+        dt = min(dt, 0.2 / max(rate, 1e-12))
+    return dt
 
 
-# above this many series terms the level shapes outrun any uniform grid
-# and evaluation switches to the renewal march
-SERIES_CAP_LIMIT = 600
+def H_lambda(spec, t, lam=None, dt=None, full_output=False):
+    """H_lambda(t) = sum_n lambda^{2n} h_n(t), the solution of the renewal
+    equation H = 1 + lambda^2 (k * H) with k = k1 + k2 + 1.
 
-
-def H_lambda(spec, t, lam=None, tol=1e-9, cap=None, dt=None,
-             full_output=False, method="auto"):
-    """H_lambda(t) = sum_n lambda^{2n} h_n(t), summed to relative tol.
-
-    Moderate couplings run the scaled series g_n = lambda^{2n} h_n (partial
-    sums stay in double range precisely when the result does; the adaptive
-    cap tracks both the linear budget lambda^2 * int (k1+k2+1) and the
-    Mittag-Leffler term peak, so the fixed cap of 64 only covers small
-    couplings).  When the estimated cap exceeds ``SERIES_CAP_LIMIT`` the
-    high series levels are no longer grid-representable and the evaluation
-    switches to the renewal-equation march, which computes the same
-    function without the level decomposition.  Raises NumericsError on
-    overflow or a series that has not entered its decaying regime.
+    Marched on a uniform grid with the product-integration weights of
+    ``hn_table``: each node value is solved implicitly from its history, so
+    the level sum is the Neumann series of the same lower-triangular system.
+    The step is ``dt`` or ``_march_step``, halved while lambda^2 P[0] >= 0.5
+    so the node solve stays well away from its pole.  Each t is read at the
+    nearest grid node; with ``full_output`` the info dict holds ``dt``,
+    ``n_nodes`` and ``t_eval``, the node times used (None, 0 and t when
+    H = 1 trivially).  Raises NumericsError when H leaves double range.
     """
     if lam is None:
         lam = spec.lam
@@ -396,53 +360,32 @@ def H_lambda(spec, t, lam=None, tol=1e-9, cap=None, dt=None,
     t_max = float(np.max(t_arr))
     if t_max == 0.0 or lam2 == 0.0:
         out = np.ones_like(t_arr)
-        return (out, {"method": "trivial"}) if full_output \
-            else (out if np.ndim(t) else 1.0)
+        info = {"dt": None, "n_nodes": 0, "t_eval": t_arr}
+        return (out, info) if full_output else (out if np.ndim(t) else 1.0)
 
     spec.require_dalang()
-    if cap is None:
-        budget, ml_peak = _series_budgets(spec, t_max, lam2)
-        cap = max(64, int(4.0 * budget + 2.0 * ml_peak) + 256)
-    if method == "auto":
-        method = "series" if cap <= SERIES_CAP_LIMIT else "march"
-    if method == "march":
-        total, info = _h_renewal_march(spec, t_arr, lam2, dt)
-        out = total if np.ndim(t) else float(total[0])
-        return (out, info) if full_output else out
-
     if dt is None:
-        dt = min(0.02, t_max / 256.0)
-    n_nodes = int(math.ceil(t_max / dt)) + 1
-    grid = np.linspace(0.0, dt * (n_nodes - 1), n_nodes)
-    P, A = _pi_weights(spec, grid.size, dt)
-    idx = np.clip(np.rint(t_arr / dt).astype(int), 0, n_nodes - 1)
-    g = np.ones(grid.size)
-    total = np.ones(t_arr.size)
-    last_ratio = np.zeros(t_arr.size)
-    prev_term = np.full(t_arr.size, np.inf)
-    n_used = 0
-    for n in range(1, cap + 1):
-        g = lam2 * _convolve_level(g, P, A)
-        term = g[idx]
-        if not np.all(np.isfinite(term)):
-            raise NumericsError(
-                f"H_lambda overflow at term n={n}; growth rate exceeds double range")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            last_ratio = np.where(total > 0, term / total, np.inf)
-        total += term
-        n_used = n
-        if np.max(term) <= tol * np.min(total) and np.all(term <= prev_term):
+        dt = _march_step(spec, t_max, lam2)
+    while True:
+        n_nodes = int(math.ceil(t_max / dt)) + 1
+        P, A = _pi_weights(spec, n_nodes, dt)
+        if lam2 * P[0] < 0.5:
             break
-        prev_term = term
-    else:
-        raise NumericsError(
-            f"H_lambda series not converged within cap={cap}; "
-            f"last term ratio {float(np.max(last_ratio)):.3e}")
-
-    out = total if np.ndim(t) else float(total[0])
+        dt /= 2.0
+    h = np.ones(n_nodes)
+    denom = 1.0 - lam2 * P[0]
+    with np.errstate(over="ignore"):
+        for i in range(1, n_nodes):
+            conv = float(np.dot(P[1:i + 1][::-1], h[:i])) - A[i + 1] * h[0]
+            h[i] = (1.0 + lam2 * conv) / denom
+            if not np.isfinite(h[i]):
+                raise NumericsError(
+                    f"H_lambda overflow at t={i * dt:.3g}; "
+                    "growth exceeds double range")
+    idx = np.clip(np.rint(t_arr / dt).astype(int), 0, n_nodes - 1)
+    out = h[idx] if np.ndim(t) else float(h[idx[0]])
     if full_output:
-        return out, {"method": "series", "n_terms": n_used,
-                     "last_ratio": last_ratio, "dt": dt, "cap": cap}
+        return out, {"dt": dt, "n_nodes": n_nodes, "t_eval": idx * dt}
     return out
 
 
@@ -525,7 +468,7 @@ def gamma0_rate_exponent(spec):
     return max(4.0 / (2.0 * (1.0 + spec.alpha) - spec.d), 2.0)
 
 
-def p_moment_upper(t, x, p, mu, spec, **h_kwargs):
+def p_moment_upper(t, x, p, mu, spec):
     """Upper bound sqrt(2) J_0(t,x) [H_{4 lambda sqrt(p)}(t)]^{1/2} on the
     p-th moment norm of u(t, x).
 
@@ -543,7 +486,7 @@ def p_moment_upper(t, x, p, mu, spec, **h_kwargs):
     if lam_eff == 0.0:
         return math.sqrt(2.0) * j0_val
     try:
-        h_val = H_lambda(spec, t, lam=lam_eff, **h_kwargs)
+        h_val = H_lambda(spec, t, lam=lam_eff)
     except NumericsError:
         return math.inf
     return math.sqrt(2.0) * j0_val * math.sqrt(h_val)

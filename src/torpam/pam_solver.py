@@ -9,8 +9,8 @@ Ito-coupled noise term: in Fourier variables
 with the noise increment sampled independently of u_n (left-point
 coupling) on exactly the solver's retained mode set, so the discrete Ito
 isometry matches the sampled covariance.  The product u dW is formed on
-the grid; with dealiasing on, the grid must hold 3*kmax+1 points so the
-retained modes of the product are alias-free.
+the grid, which must hold 3*kmax+1 points so the retained modes of the
+product are alias-free.
 """
 
 from __future__ import annotations
@@ -127,16 +127,14 @@ class SolverConfig:
     mode_k: int
     dt: float
     t_final: float
-    dealias: bool = True
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_final < self.dt:
             raise DomainError("need 0 < dt <= t_final")
-        need = 3 * self.mode_k + 1 if self.dealias else 2 * self.mode_k + 1
+        need = 3 * self.mode_k + 1
         if self.grid_n < need:
             raise AliasingError(
-                f"grid_n={self.grid_n} < {need} required for mode_k={self.mode_k}"
-                f" (dealias={self.dealias})")
+                f"grid_n={self.grid_n} < {need} required for mode_k={self.mode_k}")
         if self.spec.d > 2:
             raise DomainError("solver implemented for d in {1, 2}")
 

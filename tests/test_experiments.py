@@ -60,6 +60,14 @@ class TestMcMoments:
         rows = ex.moment_bound_report(cfg, mu, 400, [0.5], [0.0], seed=2)
         assert rows[0]["upper_ok"]
 
+    def test_covariance_infimum_is_d1_only(self):
+        c_f = ex.covariance_infimum(NoiseSpec(d=1, alpha=0.3, rho=5.0),
+                                    n_grid=64)
+        assert math.isfinite(c_f)
+        with pytest.raises(DomainError, match="d = 2"):
+            ex.covariance_infimum(NoiseSpec(d=2, alpha=0.8, rho=5.0),
+                                  n_grid=16)
+
 
 class TestResolvent:
     def test_l0_identity(self, spec_d1):

@@ -54,11 +54,6 @@ class TestKernelConfig:
         with pytest.raises(DomainError):
             hk.KernelConfig(t_switch=-1.0)
 
-    def test_theta_cache_nonnegative(self):
-        cfg = hk.KernelConfig()
-        assert cfg.theta(0.5, 2) >= 0.0
-        assert (0.5, 2) in cfg.theta_table
-
 
 class TestTorusDistance:
     def test_wraparound(self):
@@ -223,11 +218,6 @@ class TestThetaEps:
             for t in (2.0, 5.0, 10.0):
                 sup = hk.flatness_sup_error(t, d, n_grid=301)
                 assert sup <= theta * math.exp(-t / 2.0)
-
-    def test_config_cache(self):
-        cfg = hk.KernelConfig()
-        a = cfg.theta(1.0, 1)
-        assert cfg.theta(1.0, 1) is a or cfg.theta(1.0, 1) == a
 
 
 class TestIncrementBounds:

@@ -181,12 +181,25 @@ class TestHLambda:
             # solve the implicit node value: h_i = 1 + lam2*(P0*h_i + rest)
             rest = conv - a_w[i + 1] * h[0] if i + 1 < a_w.size else conv
             h[i] = (1.0 + lam2 * rest) / (1.0 - lam2 * p_w[0])
-        series = mc.H_lambda(spec_d1, dt * n, lam=1.0, dt=dt)
-        assert series == pytest.approx(h[-1], rel=1e-8)
+        h_lambda = mc.H_lambda(spec_d1, dt * n, lam=1.0, dt=dt)
+        assert h_lambda == pytest.approx(h[-1], rel=1e-8)
 
-    def test_series_term_ratio_decays(self, spec_d1):
-        _, info = mc.H_lambda(spec_d1, 2.0, lam=1.0, full_output=True)
-        assert float(np.max(info["last_ratio"])) < 1e-8
+    def test_matches_level_sum(self, spec_d1):
+        # independent route: the series sum_n lambda^{2n} h_n(t), lambda = 1
+        tab = mc.hn_table(spec_d1, 80, np.linspace(0, 2, 101))
+        level_sum = float(np.sum(tab.values[:, -1]))
+        assert tab.values[-1][-1] < 1e-12 * level_sum
+        march, info = mc.H_lambda(spec_d1, 2.0, lam=1.0, dt=0.02,
+                                  full_output=True)
+        assert info["dt"] == 0.02
+        assert march == pytest.approx(level_sum, rel=1e-8)
+
+    def test_reports_snapped_time(self, spec_d1):
+        _, info = mc.H_lambda(spec_d1, 50.0, lam=1.0, full_output=True)
+        t_eval = float(info["t_eval"][0])
+        assert t_eval == pytest.approx(50.00085, abs=1e-5)
+        assert abs(t_eval - 50.0) <= info["dt"] / 2
+        assert info["n_nodes"] * info["dt"] > 50.0
 
     def test_overflow_reported(self, spec_d1):
         with pytest.raises(NumericsError):

@@ -76,10 +76,10 @@ class TestJ0:
 class TestConfig:
     def test_dealias_grid_requirement(self):
         with pytest.raises(AliasingError):
-            ps.SolverConfig(spec=heat_spec(), grid_n=33, mode_k=16, dt=0.01,
-                            t_final=0.1, dealias=True)
-        cfg = ps.SolverConfig(spec=heat_spec(), grid_n=33, mode_k=16, dt=0.01,
-                              t_final=0.1, dealias=False)
+            ps.SolverConfig(spec=heat_spec(), grid_n=48, mode_k=16, dt=0.01,
+                            t_final=0.1)
+        cfg = ps.SolverConfig(spec=heat_spec(), grid_n=49, mode_k=16, dt=0.01,
+                              t_final=0.1)
         assert cfg.n_steps == 10
 
     def test_dalang_refusal(self):
