@@ -19,6 +19,7 @@ from . import moment_calculus as mc
 from .covariance import NoiseSpec, covariance_truncated
 from .errors import DomainError
 from .heat_kernel import TWO_PI, heat_kernel, signed_mod
+from .lattice import lattice_vectors
 from .noise_field import grid_points, step_rng
 from .pam_solver import j0, solve_ensemble
 
@@ -359,21 +360,49 @@ def _table_lookup(xs, vals, x):
     return np.interp(signed_mod(x), xs, vals, period=TWO_PI)
 
 
-def _pair_walk(spec, kmax, cap_dist, x0, n_paths, n_steps, dt_bm, rng):
+# Normals per block of the pair walk, both walkers together: 2^16 doubles
+# (512 KB) spread the per-call costs over many steps and add under 1 MB to
+# the peak RSS; 2^18 adds about 9 MB.
+_PAIR_BLOCK = 2**16
+
+
+def _pair_walk(spec, kmax, cap_dist, x0, n_paths, stops, dt_bm, rng):
     """n_paths pairs of independent torus Brownian motions B, B' from x0;
-    yields ``(step, B, B', acc)`` after each step, ``acc`` (updated in
-    place) the left-point sum of the tabulated f(B_s - B'_s) so far."""
+    yields ``(step, B, B', acc)`` at each of the sorted step counts
+    ``stops``, ``acc`` the left-point sum of the tabulated f(B_s - B'_s)
+    over the steps taken.
+
+    The walk advances m = _PAIR_BLOCK // (2 n_paths) steps per block: one
+    (m, 2, n_paths) draw (the same normals, in the same order, as m
+    (2, n_paths) draws), unwrapped positions by a cumsum from the wrapped
+    block start, one table lookup, and the running sum by a cumsum seeded
+    with ``acc``, which adds in step order.  Blocks are cut at multiples of
+    m and at the last stop only, so a stop's values do not depend on which
+    other stops were asked for.
+    """
     xs_tab, f_tab = _f_table(spec, kmax, cap_dist=cap_dist)
-    b1 = np.full(n_paths, x0)
-    b2 = b1.copy()
-    acc = np.zeros(n_paths)
+    m = max(1, _PAIR_BLOCK // (2 * n_paths))
     root = math.sqrt(dt_bm)
-    for step_i in range(1, n_steps + 1):
-        acc += _table_lookup(xs_tab, f_tab, b1 - b2)
-        steps = rng.standard_normal((2, n_paths)) * root
-        b1 = signed_mod(b1 + steps[0])
-        b2 = signed_mod(b2 + steps[1])
-        yield step_i, b1, b2, acc
+    ends = np.full((2, n_paths), x0)  # B, B' at the block start
+    acc = np.zeros(n_paths)
+    stops = list(stops)
+    done = 0
+    while stops:
+        k = min(m, stops[-1] - done)
+        pos = np.empty((k + 1, 2, n_paths))
+        pos[0] = ends
+        rng.standard_normal(out=pos[1:])
+        pos[1:] *= root
+        np.cumsum(pos, axis=0, out=pos)
+        sums = _table_lookup(xs_tab, f_tab, pos[:-1, 0] - pos[:-1, 1])
+        sums[0] += acc
+        np.cumsum(sums, axis=0, out=sums)
+        ends, acc = signed_mod(pos[-1]), sums[-1]
+        while stops and stops[0] <= done + k:
+            j = stops.pop(0) - done
+            b = ends if j == k else signed_mod(pos[j])
+            yield done + j, b[0], b[1], sums[j - 1]
+        done += k
 
 
 def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
@@ -386,7 +415,8 @@ def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
     with independent torus Brownian motions from x, left-point time
     quadrature, and the covariance capped within ``cap_dist`` of the
     diagonal (default: one table cell; the mode-truncated f is bounded, so
-    the cap only matters for large mode cutoffs).
+    the cap only matters for large mode cutoffs).  A horizon that is not a
+    whole number of steps ``dt_bm`` is refused, not rounded.
     """
     if spec.d != 1:
         raise DomainError("the pair estimator is implemented for d = 1")
@@ -395,11 +425,14 @@ def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
     n_steps = int(round(t / dt_bm))
     if n_steps < 1:
         raise DomainError("dt_bm larger than the horizon")
+    if abs(n_steps * dt_bm - t) > 1e-9 * t:
+        raise DomainError(f"horizon t = {t:g} is not a whole number of steps "
+                          f"dt_bm = {dt_bm:g}; {n_steps} steps reach "
+                          f"{n_steps * dt_bm:.12g}")
     x0 = float(np.atleast_1d(x)[0])
-    walk = _pair_walk(spec, kmax, cap_dist, x0, n_paths, n_steps, dt_bm,
-                      step_rng(seed, 0, stream=1))
-    for _, b1, b2, acc in walk:  # the estimator reads only the end state
-        pass
+    [(_, b1, b2, acc)] = _pair_walk(spec, kmax, cap_dist, x0, n_paths,
+                                    [n_steps], dt_bm,
+                                    step_rng(seed, 0, stream=1))
     if mu.variant == "uniform":
         end_w = np.full(n_paths, mu.mass * TWO_PI ** (-1)) ** 2
     else:
@@ -416,8 +449,6 @@ def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
 def fk_jensen_floor(spec, t, kmax=16):
     """exp(lambda^2 int_0^t E f(B_s - B'_s) ds) over the truncated modes:
     the Jensen lower bound for the pair functional started at any x."""
-    from .lattice import lattice_vectors
-
     vecs = lattice_vectors(1, kmax).astype(float)[:, 0]
     sq = vecs**2
     mean_int = spec.rho * t * TWO_PI ** (-1) + TWO_PI ** (-1) * float(
@@ -426,10 +457,19 @@ def fk_jensen_floor(spec, t, kmax=16):
 
 
 def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0, kmax=16):
-    """Time averages (1/t) int_0^t f(B_s - B'_s) ds against the space
-    average rho (2 pi)^{-d}; reports mean, standard error and a pass flag
-    (|mean - limit| <= 3 SE at the largest horizon).  Each horizon must
-    round to its own step of ``dt_bm``, and to at least one step."""
+    """Time averages (1/t) int_0^t f(B_s - B'_s) ds of pairs started
+    together, by the left-point sum over n = round(t / dt_bm) steps.
+
+    Each row reports the mean, standard error, variance and
+    ``exact_mean``, the expectation of that sum over the truncated modes,
+
+        (dt_bm / t) (2 pi)^{-1} sum_{i<n} [rho + sum_{0<|k|<=kmax}
+                                           |k|^{-2 alpha} e^{-k^2 i dt_bm}],
+
+    which tends to the space average ``limit`` = rho (2 pi)^{-1} as t grows.
+    ``pass`` is |mean - exact_mean| <= 3 SE at the largest horizon.  Each
+    horizon must round to its own step of ``dt_bm``, and to at least one
+    step."""
     if spec.d != 1:
         raise DomainError("implemented for d = 1")
     t_list = sorted(float(t) for t in np.atleast_1d(t_list))
@@ -441,23 +481,27 @@ def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0, kmax=16):
         raise DomainError(f"horizons {t_list} round to the same step of "
                           f"dt_bm = {dt_bm:g}")
     targets = dict(zip(steps, t_list))
+    sq = lattice_vectors(1, kmax).astype(float)[:, 0] ** 2
+    weights = sq ** (-spec.alpha)
     rows = []
-    walk = _pair_walk(spec, kmax, None, 0.0, n_paths, steps[-1], dt_bm,
+    walk = _pair_walk(spec, kmax, None, 0.0, n_paths, steps, dt_bm,
                       step_rng(seed, 0, stream=2))
     for step_i, _, _, acc in walk:
-        if step_i in targets:
-            t_now = targets[step_i]
-            avg = acc * dt_bm / t_now
-            rows.append({
-                "t": t_now, "mean": float(np.mean(avg)),
-                "std_err": jackknife_se(avg),
-                "variance": float(np.var(avg, ddof=1)),
-            })
-    limit = spec.rho * TWO_PI ** (-1)
+        t_now = targets[step_i]
+        avg = acc * dt_bm / t_now
+        # sum_{i<n} e^{-k^2 i dt_bm} as a geometric series
+        decay = np.expm1(-sq * step_i * dt_bm) / np.expm1(-sq * dt_bm)
+        rows.append({
+            "t": t_now, "mean": float(np.mean(avg)),
+            "std_err": jackknife_se(avg),
+            "variance": float(np.var(avg, ddof=1)),
+            "exact_mean": dt_bm / t_now * TWO_PI ** (-1) * (
+                spec.rho * step_i + float(np.sum(weights * decay))),
+        })
     last = rows[-1]
     return {
-        "limit": limit, "rows": rows,
-        "pass": abs(last["mean"] - limit) <= 3.0 * last["std_err"],
+        "limit": spec.rho * TWO_PI ** (-1), "rows": rows,
+        "pass": abs(last["mean"] - last["exact_mean"]) <= 3.0 * last["std_err"],
     }
 
 

@@ -34,6 +34,10 @@ from .lattice import lattice_r2
 # double precision
 _LOG_CUT = 38.0
 
+# elements of one e^{-s |k|^2} block in k1 (128 MB of doubles); longer
+# s arrays are evaluated over row blocks of at most this size
+_K1_BLOCK = 2**24
+
 
 # lattice cutoffs: the cap of the exact k1 sums, the Laplace-sum default
 def _exact_sum_cap(d):
@@ -97,7 +101,10 @@ def k1(s, spec, kmax=None):
     s_floor = _LOG_CUT / kmax**2
     r2, counts = lattice_r2(spec.d, kmax)
     w = counts * r2 ** (-spec.alpha)
-    vals = spec.rho + np.exp(-np.outer(s_arr, r2)) @ w
+    rows = max(1, _K1_BLOCK // r2.size)
+    vals = spec.rho + np.concatenate([
+        np.exp(-np.outer(s_arr[i:i + rows], r2)) @ w
+        for i in range(0, s_arr.size, rows)])
     small = s_arr < s_floor
     for i in np.nonzero(small)[0]:
         vals[i] = spec.rho + _weighted_heat_sum_small_s(float(s_arr[i]), spec)

@@ -6,7 +6,8 @@ import pytest
 from torpam import experiments as ex
 from torpam.covariance import NoiseSpec
 from torpam.errors import DomainError
-from torpam.heat_kernel import TWO_PI
+from torpam.heat_kernel import TWO_PI, signed_mod
+from torpam.noise_field import step_rng
 from torpam.pam_solver import InitialMeasure, SolverConfig, j0
 
 
@@ -204,6 +205,95 @@ class TestErgodic:
         spec = NoiseSpec(d=1, alpha=0.3, rho=2.0, lam=1.0)
         with pytest.raises(DomainError, match="round to the same step"):
             ex.ergodic_average_check(spec, [1.0, 1.001], 4, dt_bm=0.01)
+
+
+def reference_pair_walk(spec, kmax, x0, n_paths, n_steps, dt_bm, rng):
+    """One step per iteration, wrapping every step: the walk before blocking."""
+    xs_tab, f_tab = ex._f_table(spec, kmax)
+    b1 = np.full(n_paths, x0)
+    b2 = b1.copy()
+    acc = np.zeros(n_paths)
+    root = math.sqrt(dt_bm)
+    for step_i in range(1, n_steps + 1):
+        acc += ex._table_lookup(xs_tab, f_tab, b1 - b2)
+        steps = rng.standard_normal((2, n_paths)) * root
+        b1 = signed_mod(b1 + steps[0])
+        b2 = signed_mod(b2 + steps[1])
+        yield step_i, b1, b2, acc
+
+
+class TestBlockedPairWalk:
+    def test_block_draw_equals_step_draws(self):
+        block = np.empty((7, 2, 30))
+        step_rng(5, 0, stream=2).standard_normal(out=block)
+        rng = step_rng(5, 0, stream=2)
+        steps = np.stack([rng.standard_normal((2, 30)) for _ in range(7)])
+        assert np.array_equal(block, steps)
+
+    # 50 pairs: 655-step blocks, stop 1000 inside the second, the last cut
+    # at 2000; 40 000 pairs: one step per block
+    @pytest.mark.parametrize("n_paths,stops,dt_bm", [
+        (50, [1000, 2000], 0.01), (40_000, [1, 3], 1 / 256)])
+    def test_matches_step_loop(self, n_paths, stops, dt_bm):
+        spec = NoiseSpec(d=1, alpha=0.3, rho=2.0, lam=1.0)
+        ref = {s: (b1.copy(), b2.copy(), acc.copy())
+               for s, b1, b2, acc in reference_pair_walk(
+                   spec, 16, 0.3, n_paths, stops[-1], dt_bm,
+                   step_rng(9, 0, stream=2))
+               if s in stops}
+        got = list(ex._pair_walk(spec, 16, None, 0.3, n_paths, stops, dt_bm,
+                                 step_rng(9, 0, stream=2)))
+        assert [row[0] for row in got] == stops
+        for step, b1, b2, acc in got:
+            r1, r2, racc = ref[step]
+            assert np.max(np.abs(acc - racc) / np.abs(racc)) <= 1e-12
+            assert np.max(np.abs(signed_mod(b1 - r1))) <= 1e-12
+            assert np.max(np.abs(signed_mod(b2 - r2))) <= 1e-12
+
+    def test_row_independent_of_other_horizons(self):
+        spec = NoiseSpec(d=1, alpha=0.3, rho=2.0, lam=1.0)
+        alone = ex.ergodic_average_check(spec, [10.0], 50, seed=4)
+        both = ex.ergodic_average_check(spec, [10.0, 20.0], 50, seed=4)
+        assert alone["rows"][0] == both["rows"][0]
+
+    def test_constant_noise_exact_over_blocks(self, spec_d1):
+        # 64 pairs: 512-step blocks, the third cut at 1300 steps
+        mu = InitialMeasure.uniform(1.0)
+        est = ex.feynman_kac_second_moment(spec_d1, mu, 1.3, [0.0], 64,
+                                           1e-3, seed=3, kmax=0)
+        target = math.exp(1.3 / TWO_PI) * TWO_PI ** -2
+        assert est.std_err < 1e-12
+        assert est.value == pytest.approx(target, rel=1e-12)
+
+
+class TestErgodicExactMean:
+    @pytest.mark.parametrize("seed", [33, 58])
+    def test_default_check_passes(self, seed):
+        # the 3-SE test against the t -> oo limit rho / (2 pi) fails at
+        # these seeds: at t = 200 the finite-horizon bias is about 1.3 SE
+        spec = NoiseSpec(d=1, alpha=0.3, rho=2.0, lam=1.0)
+        rep = ex.ergodic_average_check(spec, [50.0, 200.0], 200, seed=seed)
+        assert rep["pass"]
+
+    def test_exact_mean_is_step_sum(self):
+        spec = NoiseSpec(d=1, alpha=0.3, rho=2.0, lam=1.0)
+        rep = ex.ergodic_average_check(spec, [1.0, 10.0], 4, seed=0)
+        k = np.arange(1.0, 17.0)
+        for row in rep["rows"]:
+            s = 0.01 * np.arange(round(row["t"] / 0.01))
+            f_mean = (2.0 + 2.0 * np.exp(-np.outer(s, k**2)) @ k**-0.6) / TWO_PI
+            assert row["exact_mean"] == pytest.approx(np.mean(f_mean),
+                                                      rel=1e-12)
+        bias = [row["exact_mean"] - rep["limit"] for row in rep["rows"]]
+        assert 0.0 < bias[1] < bias[0]
+
+
+class TestFeynmanKacHorizon:
+    def test_rounded_horizon_refused(self, spec_d1):
+        mu = InitialMeasure.uniform(1.0)
+        with pytest.raises(DomainError,
+                           match=r"t = 0\.5 .*dt_bm = 0\.3.* reach 0\.6"):
+            ex.feynman_kac_second_moment(spec_d1, mu, 0.5, [0.0], 10, 0.3)
 
 
 class TestHolder:

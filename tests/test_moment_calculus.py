@@ -63,6 +63,14 @@ class TestK1:
         with pytest.raises(DomainError):
             mc.k1(0.0, spec_d1)
 
+    def test_row_blocks_match_single_points(self, spec_d1, monkeypatch):
+        # 64 lattice radii, 200-element blocks: 3 rows per block, the last
+        # block partial
+        monkeypatch.setattr(mc, "_K1_BLOCK", 200)
+        s = np.geomspace(1e-2, 10, 50)
+        single = [mc.k1(float(v), spec_d1, kmax=64) for v in s]
+        assert mc.k1(s, spec_d1, kmax=64) == pytest.approx(single, rel=1e-14)
+
 
 class TestK2:
     def test_scaling_exponent(self):
