@@ -180,9 +180,10 @@ def check_image_sum_bound(t, s, x0, x, z):
     }
 
 
-def fit_image_sum_constant(d=1, n_samples=10_000, t_max=1.0, seed=0):
+def fit_image_sum_constant(d=1, n_samples=10_000, seed=0):
     """Fitted universal constant of the small-time bound over a Sobol sweep
-    with t <= t_max; the sweep keeps z inside the window around x0."""
+    with t <= t_max = 1; the sweep keeps z inside the window around x0."""
+    t_max = 1.0
     u = _sobol_box(n_samples, 2 + 3 * d, seed)
     t = u[:, 0] * (t_max - 1e-6) + 1e-6
     s = u[:, 1] * t * (1.0 - 2e-6) + 1e-6 * t

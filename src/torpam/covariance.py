@@ -27,6 +27,9 @@ from .lattice import cube_points, lattice_vectors
 
 DEFAULT_KMAX = {1: 24, 2: 12, 3: 8}
 
+# absolute and relative tolerance of the adaptive covariance quadratures
+_QUAD_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -74,7 +77,7 @@ def _ewald_eta(kmax):
     return math.log(1e16) / kmax**2
 
 
-def _gaussian_part(spec, x, eta, quad_tol=1e-12):
+def _gaussian_part(spec, x, eta):
     """(1/Gamma(alpha)) * int_0^eta u^{a-1} [(2 pi)^d G(2u, x) - 1] du.
 
     The substitution tau = u^alpha absorbs the endpoint power; scipy's
@@ -98,8 +101,8 @@ def _gaussian_part(spec, x, eta, quad_tol=1e-12):
         # roundoff-limited accuracy right at the singular peak is expected;
         # the reported tail bound covers it
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(integrand, 0.0, eta**a, epsabs=quad_tol,
-                                epsrel=quad_tol, limit=400, points=pts)
+        val, _ = integrate.quad(integrand, 0.0, eta**a, epsabs=_QUAD_TOL,
+                                epsrel=_QUAD_TOL, limit=400, points=pts)
     return val / (a * math.gamma(a))
 
 
@@ -142,16 +145,15 @@ def covariance_eval(spec, x, kmax=None, full_output=False):
     return value, tail
 
 
-def covariance_eval_batch(spec, xs, kmax=None, n_panel=48):
+def covariance_eval_batch(spec, xs):
     """Vectorized spectral evaluation on an array of points (n, d).
 
-    Same split as :func:`covariance_eval` but with a fixed composite
-    Gauss-Legendre rule on geometric panels for the Gaussian part, so large
-    grids (threshold scans) stay cheap.  Points closer to 0 than ~1e-3
-    should use the scalar evaluator.
+    Same split as :func:`covariance_eval` at its default cutoff but with a
+    fixed composite 48-node Gauss-Legendre rule on geometric panels for the
+    Gaussian part, so large grids (threshold scans) stay cheap.  Points
+    closer to 0 than ~1e-3 should use the scalar evaluator.
     """
-    if kmax is None:
-        kmax = DEFAULT_KMAX.get(spec.d, 8)
+    kmax = DEFAULT_KMAX.get(spec.d, 8)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     xs = signed_mod(xs)
     eta = _ewald_eta(kmax)
@@ -162,7 +164,7 @@ def covariance_eval_batch(spec, xs, kmax=None, n_panel=48):
     damped = norm_sq ** (-a) * special.gammaincc(a, eta * norm_sq)
     direct = np.cos(xs @ vecs.T) @ damped
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_panel)
+    nodes, weights = np.polynomial.legendre.leggauss(48)
     edges = eta**a * np.array([0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0])
     gauss = np.zeros(xs.shape[0])
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -188,7 +190,7 @@ def covariance_truncated(spec, x, kmax):
     return TWO_PI ** (-spec.d) * (spec.rho + direct)
 
 
-def covariance_eval_integral(spec, x, quad_tol=1e-12):
+def covariance_eval_integral(spec, x):
     """Time-integral evaluation of f_{alpha,rho}(x); the independent oracle.
 
     f(x) = rho (2 pi)^{-d}
@@ -211,7 +213,7 @@ def covariance_eval_integral(spec, x, quad_tol=1e-12):
         return float(heat_kernel(2.0 * u, xa)) - flat
 
     short, short_err = integrate.quad(short_integrand, 0.0, 1.0,
-                                      epsabs=quad_tol, epsrel=quad_tol,
+                                      epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
                                       limit=500)
     short /= a
 
@@ -219,7 +221,7 @@ def covariance_eval_integral(spec, x, quad_tol=1e-12):
         return u ** (a - 1.0) * (float(heat_kernel(2.0 * u, xa)) - flat)
 
     long_part, long_err = integrate.quad(long_integrand, 1.0, np.inf,
-                                         epsabs=quad_tol, epsrel=quad_tol,
+                                         epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
                                          limit=200)
     if not (np.isfinite(short) and np.isfinite(long_part)):
         raise ArithmeticError(
@@ -228,7 +230,7 @@ def covariance_eval_integral(spec, x, quad_tol=1e-12):
     return spec.rho * flat + (short + long_part) / math.gamma(a)
 
 
-def rho_star(alpha, d, n_grid=None, kmax=None):
+def rho_star(alpha, d, n_grid=None):
     """Positivity threshold of rho -> f_{alpha,rho}.
 
     Estimates rho* = (2 pi)^d * (-min f_{alpha,0}) on a grid that avoids
@@ -243,7 +245,7 @@ def rho_star(alpha, d, n_grid=None, kmax=None):
     spec0 = NoiseSpec(d=d, alpha=alpha, rho=0.0, lam=1.0)
     pts = cube_points(np.linspace(-math.pi, math.pi, n_grid, endpoint=False), d)
     pts = pts[np.any(pts != 0.0, axis=-1)]
-    vals = covariance_eval_batch(spec0, pts, kmax=kmax)
+    vals = covariance_eval_batch(spec0, pts)
     grid_min = float(np.min(vals))
     est = TWO_PI**d * max(0.0, -grid_min)
     sufficient = (TWO_PI ** (-d / 2.0) / math.gamma(alpha + 1.0)
@@ -256,10 +258,10 @@ def rho_star(alpha, d, n_grid=None, kmax=None):
     }
 
 
-def c_alpha_d(spec, kmax=128):
+def c_alpha_d(spec):
     """C_{alpha,d} = (2 pi)^{-d/2} sum_{k != 0} |k|^{-2 alpha - 2},
     the time-integral budget of the lattice part of k1."""
     spec.require_dalang()
     from .lattice import zeta_lattice
 
-    return TWO_PI ** (-spec.d / 2.0) * zeta_lattice(spec.d, 2.0 * spec.alpha + 2.0, kmax)
+    return TWO_PI ** (-spec.d / 2.0) * zeta_lattice(spec.d, 2.0 * spec.alpha + 2.0)

@@ -190,18 +190,19 @@ def _volterra_level(prev, weight, gq, dt, cell, propagate, end_lo):
     return cur
 
 
-def resolvent_Ln(spec, n_max, t_grid, a_grid_n=9, q_grid_n=33, kmax=16,
+def resolvent_Ln(spec, n_max, t_grid, a_grid_n=9, q_grid_n=33,
                  f_override=None, cap_dist=None):
     """Space-time quadrature of the resolvent recursion
     L_n = L_0 (convolved against) L_{n-1} with weight f, in d = 1.
 
     ``t_grid`` must be uniform starting at 0; endpoint values of the time
-    integral use the analytic s -> 0 and s -> t limits.  ``f_override``
-    replaces the covariance by an arbitrary function of the separation
-    (the constant-f oracle of the acceptance suite).  ``cap_dist`` freezes
-    the near-diagonal covariance regularization (default: one q-cell);
-    refinement studies must hold it fixed, otherwise they confound grid
-    convergence with the sharpening of the capped singularity.
+    integral use the analytic s -> 0 and s -> t limits.  f is the
+    covariance truncated to |k| <= 16; ``f_override`` replaces it by an
+    arbitrary function of the separation (the constant-f oracle of the
+    acceptance suite).  ``cap_dist`` freezes the near-diagonal covariance
+    regularization (default: one q-cell); refinement studies must hold it
+    fixed, otherwise they confound grid convergence with the sharpening of
+    the capped singularity.
     """
     if spec.d != 1:
         raise DomainError("resolvent quadrature is restricted to d = 1")
@@ -220,8 +221,8 @@ def resolvent_Ln(spec, n_max, t_grid, a_grid_n=9, q_grid_n=33, kmax=16,
     if cap_dist is None:
         cap_dist = cell
     if f_override is None:
-        fq = _capped_f_values(spec, q_grid[:, None] - q_grid[None, :], kmax, cap_dist)
-        f_pairs_aa = _capped_f_values(spec, a_grid[:, None] - a_grid[None, :], kmax, cap_dist)
+        fq = _capped_f_values(spec, q_grid[:, None] - q_grid[None, :], 16, cap_dist)
+        f_pairs_aa = _capped_f_values(spec, a_grid[:, None] - a_grid[None, :], 16, cap_dist)
     else:
         fq = np.asarray(f_override(q_grid[:, None] - q_grid[None, :]), dtype=float)
         f_pairs_aa = np.asarray(f_override(a_grid[:, None] - a_grid[None, :]), dtype=float)
@@ -252,19 +253,19 @@ def resolvent_Ln(spec, n_max, t_grid, a_grid_n=9, q_grid_n=33, kmax=16,
                           values=levels, f_matrix=fq)
 
 
-def resolvent_bound_fit(table, t_min=0.2, floor_rel=1e-4):
+def resolvent_bound_fit(table):
     """Fitted constants C_n = max (|L_n| / (G G h_n))^{1/n} of the
-    resolvent domination, per level and overall.
+    resolvent domination, per level and overall, over the times t >= 0.2.
 
-    Entries where the comparison scale G G h_n sits more than
-    ``floor_rel`` below its maximum are excluded: there the kernel product
+    Entries where the comparison scale G G h_n sits more than a factor
+    1e-4 below its maximum are excluded: there the kernel product
     underflows the absolute resolution of the space-time quadrature and
     the ratio measures noise, not the bound.
     """
     spec = table.spec
     t = table.t_grid
     htab = mc.hn_table(spec, len(table.values) - 1, t)
-    sel = np.nonzero(t >= t_min)[0]
+    sel = np.nonzero(t >= 0.2)[0]
     sel = sel[sel >= 1]
     fits = {}
     g_aq = {i: _kernel_matrix(t[i], table.a_grid, table.q_grid) for i in sel}
@@ -273,21 +274,21 @@ def resolvent_bound_fit(table, t_min=0.2, floor_rel=1e-4):
         for i in sel:
             gg = np.einsum("aq,br->aqbr", g_aq[i], g_aq[i])
             scale = gg * htab.values[n][i]
-            mask = scale >= floor_rel * np.max(scale)
+            mask = scale >= 1e-4 * np.max(scale)
             ratio = np.abs(table.values[n][i - 1][mask]) / scale[mask]
             worst = max(worst, float(np.max(ratio)) ** (1.0 / n))
         fits[n] = worst
     return fits
 
 
-def two_point(spec, mu, t, x, x_prime, n_max=3, t_nodes=21, q_grid_n=33,
-              kmax=16, warn_ratio=0.1):
+def two_point(spec, mu, t, x, x_prime, n_max=3, kmax=16):
     """Two-point function E[u(t,x) u(t,x')] by the mu-contracted resolvent
-    series sum_n lambda^{2n} M_n, truncated at n_max (d = 1).
+    series sum_n lambda^{2n} M_n, truncated at n_max (d = 1), on 21 time
+    nodes and a 33-point space grid.
 
     The n = 0 term is exactly J_0(t,x) J_0(t,x').  Returns a dict with the
-    value, the last-term truncation ratio (a warning flag when above
-    ``warn_ratio``), and the per-order contributions.
+    value, the last-term truncation ratio (a warning flag when above 0.1),
+    and the per-order contributions.
     """
     if spec.d != 1:
         raise DomainError("two_point quadrature is restricted to d = 1")
@@ -295,6 +296,7 @@ def two_point(spec, mu, t, x, x_prime, n_max=3, t_nodes=21, q_grid_n=33,
         raise DomainError("n_max > 3 exceeds the intended quadrature cost")
     if mu.variant not in ("uniform", "density"):
         raise DomainError("two_point needs an absolutely continuous mu")
+    t_nodes, q_grid_n = 21, 33
     tg = np.linspace(0.0, t, t_nodes)
     dt = tg[1] - tg[0]
     q = grid_points(q_grid_n, 1)[:, 0]
@@ -304,7 +306,7 @@ def two_point(spec, mu, t, x, x_prime, n_max=3, t_nodes=21, q_grid_n=33,
         mu_vals = np.full(q_grid_n, mu.mass * TWO_PI ** (-1))
     else:
         if mu.density.shape[0] != q_grid_n:
-            raise DomainError("density grid must match q_grid_n")
+            raise DomainError(f"density grid must have {q_grid_n} points")
         mu_vals = mu.density.astype(float)
 
     gq = [None] + [_kernel_matrix(tg[j], q, q) for j in range(1, t_nodes)]
@@ -331,7 +333,7 @@ def two_point(spec, mu, t, x, x_prime, n_max=3, t_nodes=21, q_grid_n=33,
     ratio = abs(contributions[-1]) / max(abs(value), 1e-300)
     return {
         "value": value, "contributions": contributions,
-        "truncation_ratio": ratio, "truncation_warning": ratio > warn_ratio,
+        "truncation_ratio": ratio, "truncation_warning": ratio > 0.1,
         "n_max": n_max,
     }
 
@@ -346,12 +348,9 @@ def _interp_pair(matrix, q, x, x_prime):
 # Feynman-Kac and ergodic functionals (d = 1)
 
 
-def _f_table(spec, kmax, n_tab=8192, cap_dist=None):
-    xs = grid_points(n_tab, 1)[:, 0]
+def _f_table(spec, kmax):
+    xs = grid_points(8192, 1)[:, 0]
     vals = covariance_truncated(spec, xs[:, None], kmax)
-    if cap_dist is not None:
-        cap_val = covariance_truncated(spec, np.array([cap_dist]), kmax)
-        vals = np.where(np.abs(xs) < cap_dist, float(cap_val), vals)
     order = np.argsort(xs)
     return xs[order], vals[order]
 
@@ -366,7 +365,7 @@ def _table_lookup(xs, vals, x):
 _PAIR_BLOCK = 2**16
 
 
-def _pair_walk(spec, kmax, cap_dist, x0, n_paths, stops, dt_bm, rng):
+def _pair_walk(spec, kmax, x0, n_paths, stops, dt_bm, rng):
     """n_paths pairs of independent torus Brownian motions B, B' from x0;
     yields ``(step, B, B', acc)`` at each of the sorted step counts
     ``stops``, ``acc`` the left-point sum of the tabulated f(B_s - B'_s)
@@ -380,7 +379,7 @@ def _pair_walk(spec, kmax, cap_dist, x0, n_paths, stops, dt_bm, rng):
     m and at the last stop only, so a stop's values do not depend on which
     other stops were asked for.
     """
-    xs_tab, f_tab = _f_table(spec, kmax, cap_dist=cap_dist)
+    xs_tab, f_tab = _f_table(spec, kmax)
     m = max(1, _PAIR_BLOCK // (2 * n_paths))
     root = math.sqrt(dt_bm)
     ends = np.full((2, n_paths), x0)  # B, B' at the block start
@@ -405,18 +404,24 @@ def _pair_walk(spec, kmax, cap_dist, x0, n_paths, stops, dt_bm, rng):
         done += k
 
 
+def _refuse_rounded_horizon(t, n_steps, dt_bm):
+    if abs(n_steps * dt_bm - t) > 1e-9 * t:
+        raise DomainError(f"horizon t = {t:g} is not a whole number of steps "
+                          f"dt_bm = {dt_bm:g}; {n_steps} steps reach "
+                          f"{n_steps * dt_bm:.12g}")
+
+
 def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
-                              kmax=16, cap_dist=None):
+                              kmax=16):
     """Pair-of-Brownian-motions estimator of E[u(t,x)^2] for bounded
     density initial data:
 
         E[ mu(B_t) mu(B'_t) exp(lambda^2 int_0^t f(B_s - B'_s) ds) ]
 
-    with independent torus Brownian motions from x, left-point time
-    quadrature, and the covariance capped within ``cap_dist`` of the
-    diagonal (default: one table cell; the mode-truncated f is bounded, so
-    the cap only matters for large mode cutoffs).  A horizon that is not a
-    whole number of steps ``dt_bm`` is refused, not rounded.
+    with independent torus Brownian motions from x and left-point time
+    quadrature of f truncated to |k| <= kmax.  That f is bounded, so it is
+    tabulated as it is, with no cap near the diagonal.  A horizon that is
+    not a whole number of steps ``dt_bm`` is refused, not rounded.
     """
     if spec.d != 1:
         raise DomainError("the pair estimator is implemented for d = 1")
@@ -425,14 +430,10 @@ def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
     n_steps = int(round(t / dt_bm))
     if n_steps < 1:
         raise DomainError("dt_bm larger than the horizon")
-    if abs(n_steps * dt_bm - t) > 1e-9 * t:
-        raise DomainError(f"horizon t = {t:g} is not a whole number of steps "
-                          f"dt_bm = {dt_bm:g}; {n_steps} steps reach "
-                          f"{n_steps * dt_bm:.12g}")
+    _refuse_rounded_horizon(t, n_steps, dt_bm)
     x0 = float(np.atleast_1d(x)[0])
-    [(_, b1, b2, acc)] = _pair_walk(spec, kmax, cap_dist, x0, n_paths,
-                                    [n_steps], dt_bm,
-                                    step_rng(seed, 0, stream=1))
+    [(_, b1, b2, acc)] = _pair_walk(spec, kmax, x0, n_paths, [n_steps],
+                                    dt_bm, step_rng(seed, 0, stream=1))
     if mu.variant == "uniform":
         end_w = np.full(n_paths, mu.mass * TWO_PI ** (-1)) ** 2
     else:
@@ -456,20 +457,22 @@ def fk_jensen_floor(spec, t, kmax=16):
     return math.exp(spec.lam**2 * mean_int)
 
 
-def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0, kmax=16):
+def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0):
     """Time averages (1/t) int_0^t f(B_s - B'_s) ds of pairs started
-    together, by the left-point sum over n = round(t / dt_bm) steps.
+    together, by the left-point sum over n = t / dt_bm steps, f truncated
+    to |k| <= 16.
 
     Each row reports the mean, standard error, variance and
     ``exact_mean``, the expectation of that sum over the truncated modes,
 
-        (dt_bm / t) (2 pi)^{-1} sum_{i<n} [rho + sum_{0<|k|<=kmax}
+        (dt_bm / t) (2 pi)^{-1} sum_{i<n} [rho + sum_{0<|k|<=16}
                                            |k|^{-2 alpha} e^{-k^2 i dt_bm}],
 
     which tends to the space average ``limit`` = rho (2 pi)^{-1} as t grows.
     ``pass`` is |mean - exact_mean| <= 3 SE at the largest horizon.  Each
-    horizon must round to its own step of ``dt_bm``, and to at least one
-    step."""
+    horizon must be at least half a step, round to its own step of
+    ``dt_bm``, and be a whole number of steps: a rounded horizon is
+    refused, as in :func:`feynman_kac_second_moment`."""
     if spec.d != 1:
         raise DomainError("implemented for d = 1")
     t_list = sorted(float(t) for t in np.atleast_1d(t_list))
@@ -480,11 +483,13 @@ def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0, kmax=16):
     if len(set(steps)) < len(steps):
         raise DomainError(f"horizons {t_list} round to the same step of "
                           f"dt_bm = {dt_bm:g}")
+    for t, n_steps in zip(t_list, steps):
+        _refuse_rounded_horizon(t, n_steps, dt_bm)
     targets = dict(zip(steps, t_list))
-    sq = lattice_vectors(1, kmax).astype(float)[:, 0] ** 2
+    sq = lattice_vectors(1, 16).astype(float)[:, 0] ** 2
     weights = sq ** (-spec.alpha)
     rows = []
-    walk = _pair_walk(spec, kmax, None, 0.0, n_paths, steps, dt_bm,
+    walk = _pair_walk(spec, 16, 0.0, n_paths, steps, dt_bm,
                       step_rng(seed, 0, stream=2))
     for step_i, _, _, acc in walk:
         t_now = targets[step_i]

@@ -39,13 +39,18 @@ _LOG_CUT = 38.0
 _K1_BLOCK = 2**24
 
 
-# lattice cutoffs: the cap of the exact k1 sums, the Laplace-sum default
+# lattice cutoffs: the cap of the exact k1 sums, the Laplace sum, and the
+# exact sums of the k1 time integrals (at most the cap)
 def _exact_sum_cap(d):
     return 8192 if d == 1 else 512
 
 
 def _laplace_kmax(d):
     return 4096 if d == 1 else 512
+
+
+def _integral_kmax(d):
+    return min(2048, _exact_sum_cap(d))
 
 
 def _k1_kmax(s_min, d):
@@ -112,12 +117,12 @@ def k1(s, spec, kmax=None):
     return vals if np.ndim(s) else float(vals[0])
 
 
-def k1_integral(t, spec, kmax=2048):
+def k1_integral(t, spec):
     """Exact mode sum for int_0^t k1(s) ds."""
     if t < 0.0:
         raise DomainError("t must be nonnegative")
     spec.require_dalang()
-    r2, counts = lattice_r2(spec.d, min(kmax, _exact_sum_cap(spec.d)))
+    r2, counts = lattice_r2(spec.d, _integral_kmax(spec.d))
     w = counts * r2 ** (-spec.alpha - 1.0)
     main = float(np.sum(w * (1.0 - np.exp(-t * r2))))
     # beyond the cutoff the (1 - e^{-t r^2}) factor is essentially constant
@@ -130,19 +135,18 @@ def k1_integral(t, spec, kmax=2048):
     return TWO_PI ** (-spec.d / 2.0) * (spec.rho * t + main + max(tail, 0.0))
 
 
-def k1_laplace(gamma, spec, kmax=None):
+def k1_laplace(gamma, spec):
     """int_0^oo e^{-gamma s} k1(s) ds by the mode sum
     rho (2 pi)^{-d/2} / gamma + (2 pi)^{-d/2} sum_k |k|^{-2a} / (|k|^2 + gamma).
 
-    The sum is truncated with an Euler-Maclaurin radial tail, keeping the
-    absolute error near 1e-9 at the defaults for d = 1.
+    The sum is truncated at ``_laplace_kmax(d)`` with an Euler-Maclaurin
+    radial tail, keeping the absolute error near 1e-9 for d = 1.
     """
     if gamma <= 0.0:
         raise DomainError("gamma must be positive")
     spec.require_dalang()
     d, a = spec.d, spec.alpha
-    if kmax is None:
-        kmax = _laplace_kmax(d)
+    kmax = _laplace_kmax(d)
     r2, counts = lattice_r2(d, kmax)
     main = float(np.sum(counts * r2 ** (-a) / (r2 + gamma)))
 
@@ -235,15 +239,15 @@ class HnTable:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def _first_cell_moments(dt, spec, kmax=2048):
+def _first_cell_moments(dt, spec):
     """Exact moments int_0^dt k(s) ds and int_0^dt s k(s) ds of the
     combined kernel k = k1 + k2 + 1, with the power singularity integrated
     in closed form and the mode part summed exactly."""
     d, a = spec.d, spec.alpha
     p = a - d / 2.0
     c_riesz = riesz_gaussian_constant(d, a)
-    w0 = k1_integral(dt, spec, kmax) + c_riesz * dt ** (p + 1.0) / (p + 1.0) + dt
-    r2, counts = lattice_r2(d, min(kmax, _exact_sum_cap(d)))
+    w0 = k1_integral(dt, spec) + c_riesz * dt ** (p + 1.0) / (p + 1.0) + dt
+    r2, counts = lattice_r2(d, _integral_kmax(d))
     x = dt * r2
     mode_m1 = float(np.sum(counts * r2 ** (-a) * (1.0 - np.exp(-x) * (1.0 + x)) / (r2 * r2)))
     w1 = TWO_PI ** (-d / 2.0) * (spec.rho * dt * dt / 2.0 + mode_m1)
@@ -418,7 +422,7 @@ class GammaSolve:
         })
 
 
-def theta_gamma(gamma, spec, kmax=None):
+def theta_gamma(gamma, spec):
     """Laplace-side function whose unit level set defines gamma0.
 
     Four terms: the rho mode, the nonzero-mode lattice sum, the Laplace
@@ -431,20 +435,19 @@ def theta_gamma(gamma, spec, kmax=None):
     riesz = k2_laplace_constant(spec.d, spec.alpha) * gamma ** (
 
         -(spec.alpha + 1.0 - spec.d / 2.0))
-    return (k1_laplace(gamma, spec, kmax) + riesz + 1.0 / gamma)
+    return (k1_laplace(gamma, spec) + riesz + 1.0 / gamma)
 
 
-def gamma0(lam, spec, kmax=None, rtol=1e-12):
-    """Solve lambda^2 Theta_gamma = 1 by bracketing and bisection."""
+def gamma0(lam, spec):
+    """Solve lambda^2 Theta_gamma = 1 by bracketing and bisection to a
+    relative bracket width of 1e-12."""
     lam2 = float(lam) * float(lam)
     if lam2 == 0.0:
         raise DomainError("gamma0 requires lambda != 0")
     spec.require_dalang()
-    if kmax is None:
-        kmax = _laplace_kmax(spec.d)
 
     def g(x):
-        return lam2 * theta_gamma(x, spec, kmax) - 1.0
+        return lam2 * theta_gamma(x, spec) - 1.0
 
     lo, hi = 1e-8, 1.0
     while g(hi) > 0.0:
@@ -461,12 +464,13 @@ def gamma0(lam, spec, kmax=None, rtol=1e-12):
             lo = mid
         else:
             hi = mid
-        if (hi - lo) <= rtol * hi:
+        if (hi - lo) <= 1e-12 * hi:
             break
     root = 0.5 * (lo + hi)
-    theta_val = theta_gamma(root, spec, kmax)
+    theta_val = theta_gamma(root, spec)
     return GammaSolve(lam=float(lam), gamma0=root, theta_at_gamma0=theta_val,
-                      residual=abs(lam2 * theta_val - 1.0), mode_cutoff=kmax)
+                      residual=abs(lam2 * theta_val - 1.0),
+                      mode_cutoff=_laplace_kmax(spec.d))
 
 
 def gamma0_rate_exponent(spec):

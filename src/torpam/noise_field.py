@@ -214,9 +214,10 @@ def functional_variance(spec, phi_modes):
     return float(spec.rho * np.abs(phi_modes[(kmax,) * d]) ** 2 + np.sum(vals))
 
 
-def empirical_covariance(spec, dt, grid_n, n_samples, seed, kmax=None):
-    """Monte-Carlo check that sampled increments have covariance
-    dt * f_truncated; reports the worst deviation in standard-error units.
+def empirical_covariance(spec, dt, grid_n, n_samples, seed):
+    """Monte-Carlo check that sampled increments, on every mode the grid
+    carries (kmax = (grid_n - 1) // 2), have covariance dt * f_truncated;
+    reports the worst deviation in standard-error units.
 
     d = 1 only (the verification grid is the full N x N pair matrix).
     """
@@ -224,8 +225,7 @@ def empirical_covariance(spec, dt, grid_n, n_samples, seed, kmax=None):
         raise DomainError("empirical covariance matrix check is d=1 only")
     if n_samples < 1000:
         raise DomainError("need n_samples >= 1000 for a meaningful check")
-    if kmax is None:
-        kmax = (grid_n - 1) // 2
+    kmax = (grid_n - 1) // 2
     sampler = IncrementSampler(spec, kmax, grid_n, dt)
     rng = step_rng(seed, 0)
     modes = sampler.sample_modes(rng, n_batch=n_samples)

@@ -131,6 +131,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_final < self.dt:
             raise DomainError("need 0 < dt <= t_final")
+        if abs(self.n_steps * self.dt - self.t_final) > 1e-9 * self.t_final:
+            raise DomainError(
+                f"t_final = {self.t_final:g} is not a whole number of steps "
+                f"dt = {self.dt:g}; {self.n_steps} steps reach "
+                f"{self.n_steps * self.dt:.12g}")
         need = 3 * self.mode_k + 1
         if self.grid_n < need:
             raise AliasingError(

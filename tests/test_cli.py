@@ -234,6 +234,17 @@ class TestBadInput:
         assert code == 1
         assert "shorter than half a step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["ergodic-check", "--t-list", "1.004", "--n-paths", "4"],
+         "horizon t = 1.004 is not a whole number of steps dt_bm = 0.01"),
+        (["simulate", "--t-final", "0.3"],
+         "t_final = 0.3 is not a whole number of steps dt = 0.00390625"),
+    ])
+    def test_rounded_horizon_is_one(self, tmp_path, capsys, argv, message):
+        code, _ = run(tmp_path, "rounded", *argv, *S)
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_run_flags_only_where_read(self, tmp_path, capsys):
         assert run(tmp_path, "k", "kernel-eval", "--t", "1", "--x", "0",
                    "--seed", "3")[0] == 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torpam import experiments as ex
 from torpam.covariance import NoiseSpec
@@ -68,6 +70,21 @@ class TestMcMoments:
         with pytest.raises(DomainError, match="d = 2"):
             ex.covariance_infimum(NoiseSpec(d=2, alpha=0.8, rho=5.0),
                                   n_grid=16)
+
+
+class TestThreadCount:
+    @given(p=st.sampled_from([1, 2, 3]), n_chunks=st.sampled_from([2, 3, 4]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_moments_independent_of_threads(self, p, n_chunks, seed):
+        cfg = solver_config(NoiseSpec(d=1, alpha=0.3, rho=1.0, lam=1.0),
+                            grid_n=16, mode_k=4, dt=0.02, t_final=0.1)
+        mu = InitialMeasure.uniform(1.0)
+        runs = [ex.mc_moments(cfg, mu, p, 6 * n_chunks, [0.1], [[0.0]],
+                              seed=seed, n_chunks=n_chunks, threads=threads)[0]
+                for threads in (1, 2, 3)]
+        assert {(r.value, r.std_err) for r in runs} == \
+            {(runs[0].value, runs[0].std_err)}
 
 
 class TestResolvent:
@@ -206,6 +223,12 @@ class TestErgodic:
         with pytest.raises(DomainError, match="round to the same step"):
             ex.ergodic_average_check(spec, [1.0, 1.001], 4, dt_bm=0.01)
 
+    def test_rounded_horizon_refused(self):
+        spec = NoiseSpec(d=1, alpha=0.3, rho=2.0, lam=1.0)
+        with pytest.raises(DomainError, match=r"t = 1\.004 .*dt_bm = 0\.01; "
+                           r"100 steps reach 1$"):
+            ex.ergodic_average_check(spec, [1.004], 4, dt_bm=0.01)
+
 
 def reference_pair_walk(spec, kmax, x0, n_paths, n_steps, dt_bm, rng):
     """One step per iteration, wrapping every step: the walk before blocking."""
@@ -241,7 +264,7 @@ class TestBlockedPairWalk:
                    spec, 16, 0.3, n_paths, stops[-1], dt_bm,
                    step_rng(9, 0, stream=2))
                if s in stops}
-        got = list(ex._pair_walk(spec, 16, None, 0.3, n_paths, stops, dt_bm,
+        got = list(ex._pair_walk(spec, 16, 0.3, n_paths, stops, dt_bm,
                                  step_rng(9, 0, stream=2)))
         assert [row[0] for row in got] == stops
         for step, b1, b2, acc in got:

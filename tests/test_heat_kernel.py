@@ -246,3 +246,67 @@ class TestIncrementBounds:
     def test_rejects_bad_beta(self):
         with pytest.raises(DomainError):
             hk.kernel_increment_bounds(0.5, 0.8, [0.0], [0.1], 1.5)
+
+
+def reference_image_sum(t, x):
+    """sum_k exp(-(x + 2 pi k)^2 / 2t) / sqrt(2 pi t), term by term."""
+    x = float(hk.signed_mod(x))
+    acc = math.exp(-x * x / (2.0 * t))
+    for k in range(1, 41):
+        acc += math.exp(-((x + 2 * PI * k) ** 2) / (2.0 * t))
+        acc += math.exp(-((x - 2 * PI * k) ** 2) / (2.0 * t))
+    return acc / math.sqrt(2 * PI * t)
+
+
+def reference_theta_c(t, form):
+    """The two theta sums, adding terms until one falls below 1e-15 of the
+    partial sum (at most 64)."""
+    acc = 1.0
+    for n in range(1, 65):
+        term = 2.0 * math.exp(-2.0 * n * n * PI * PI / t if form == "s"
+                              else -n * n * t / 2.0)
+        acc += term
+        if term < 1e-15 * acc:
+            break
+    return acc if form == "s" else math.sqrt(t / (2 * PI)) * acc
+
+
+class TestSeriesReference:
+    """The fixed-count series against the direct term-by-term loops, at
+    t in [1e-3, 50] and at points within 1e-9 of +-pi."""
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(7)
+        ts = np.exp(rng.uniform(math.log(1e-3), math.log(50.0), 400))
+        xs = rng.uniform(-PI, PI, 400)
+        xs[:100] = PI - rng.uniform(0.0, 1e-9, 100)
+        xs[100:200] = -PI + rng.uniform(0.0, 1e-9, 100)
+        return zip(ts, xs)
+
+    @staticmethod
+    def rtol(t, x):
+        # exp(-a) inherits the rounding of its argument a = x^2 / 2t times
+        # a, in both routes
+        return 1e-14 + 4 * np.finfo(float).eps * x * x / (2 * t)
+
+    def test_image_sum(self):
+        for t, x in self.points():
+            want = reference_image_sum(t, x)
+            # results below 1e-300 may be subnormal: no relative precision
+            assert abs(float(hk.heat_kernel_1d_image(t, x)) - want) \
+                <= self.rtol(t, x) * want + 1e-300
+
+    def test_kernel_ratio(self):
+        for t, x in self.points():
+            p = math.exp(-x * x / (2 * t)) / math.sqrt(2 * PI * t)
+            if p > 1e-300:
+                want = reference_image_sum(t, x) / p
+                assert float(hk.kernel_ratio(t, [x])) == pytest.approx(
+                    want, rel=self.rtol(t, x), abs=0.0)
+
+    @pytest.mark.parametrize("form", ["s", "s_prime"])
+    def test_theta_c(self, form):
+        for t, _ in self.points():
+            assert float(hk.theta_c(t, form=form)) == pytest.approx(
+                reference_theta_c(t, form), rel=1e-14, abs=0.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torpam import pam_solver as ps
 from torpam.covariance import NoiseSpec
@@ -81,6 +83,12 @@ class TestConfig:
         cfg = ps.SolverConfig(spec=heat_spec(), grid_n=49, mode_k=16, dt=0.01,
                               t_final=0.1)
         assert cfg.n_steps == 10
+
+    def test_horizon_not_whole_steps_refused(self):
+        with pytest.raises(DomainError, match=r"t_final = 0\.3 .*dt = "
+                           r"0\.00390625; 77 steps reach 0\.30078125"):
+            ps.SolverConfig(spec=heat_spec(), grid_n=49, mode_k=16,
+                            dt=1 / 256, t_final=0.3)
 
     def test_dalang_refusal(self):
         bad = NoiseSpec(d=3, alpha=0.5, rho=1.0, lam=1.0)
@@ -208,6 +216,24 @@ class TestSingleEqualsEnsemble:
         assert np.array_equal(traj.times, times)
         assert traj.fields.shape == fields[:, 0].shape
         assert traj.fields.tobytes() == fields[:, 0].tobytes()
+
+
+class TestPathPrefix:
+    @given(d=st.sampled_from([1, 2]), mode_k=st.integers(1, 4),
+           extra=st.integers(0, 3), variant=st.sampled_from(["uniform", "delta"]),
+           m=st.integers(1, 3), more=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_first_paths_equal_smaller_run(self, d, mode_k, extra, variant,
+                                           m, more, seed):
+        spec = NoiseSpec(d=d, alpha=0.3 if d == 1 else 0.8, rho=1.0, lam=1.0)
+        cfg = ps.SolverConfig(spec=spec, grid_n=3 * mode_k + 1 + extra,
+                              mode_k=mode_k, dt=0.02, t_final=0.1)
+        mu = (ps.InitialMeasure.uniform(1.0) if variant == "uniform"
+              else ps.InitialMeasure.delta([0.3] * d, 0.05))
+        _, small = ps.solve_ensemble(cfg, mu, seed, m, None)
+        _, large = ps.solve_ensemble(cfg, mu, seed, m + more, None)
+        assert large[:, :m].tobytes() == small.tobytes()
 
 
 class TestNonFiniteGuard:
