@@ -194,6 +194,8 @@ def _command(name, flags, report, run=()):
 @_command("kernel-eval", [("d", int, 1), ("t", float, REQUIRED),
                           ("x", _floats, REQUIRED)], "kernel_eval.json")
 def _kernel_eval(a, spec, out):
+    if len(a.x) != a.d:
+        raise DomainError(f"--x has {len(a.x)} coordinates, --d is {a.d}")
     return {"G": float(heat_kernel(a.t, a.x)), "C_t": float(theta_c(a.t)),
             "theta_eps_1": theta_eps(1.0, a.d)}
 

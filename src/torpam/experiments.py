@@ -36,10 +36,12 @@ def jackknife_se(values):
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """One Monte-Carlo moment estimate with its standard error."""
+    """One Monte-Carlo moment estimate with its standard error; ``x`` is
+    the requested point and ``x_grid`` the point the value was read at."""
 
     t: float
     x: tuple
+    x_grid: tuple
     p: float
     value: float
     std_err: float
@@ -51,8 +53,9 @@ class MomentEstimate:
 
 def mc_moments(config, mu, p, n_samples, t_list, x_list, seed=0,
                n_chunks=1, threads=1):
-    """Ensemble moment estimates E[u(t,x)^p] at grid points nearest to
-    the requested x, with jackknife standard errors.
+    """Ensemble moment estimates E[u(t,x)^p] at the grid points nearest to
+    the requested x (reported as ``x_grid``), with jackknife standard
+    errors.
 
     With ``n_chunks > 1`` the ensemble splits into fixed chunks on
     disjoint noise streams, optionally run on a thread pool; the result
@@ -90,7 +93,8 @@ def mc_moments(config, mu, p, n_samples, t_list, x_list, seed=0,
             powers = flat**p if p == int(p) and int(p) % 2 == 0 \
                 else np.abs(flat) ** p
             out.append(MomentEstimate(
-                t=float(times[ti]), x=tuple(xa), p=float(p),
+                t=float(times[ti]), x=tuple(xa),
+                x_grid=tuple(pts[xi].tolist()), p=float(p),
                 value=float(np.mean(powers)), std_err=jackknife_se(powers),
                 n_samples=n_samples))
     return out
@@ -442,7 +446,7 @@ def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
         end_w = (np.interp(b1, xs_mu, mu.density, period=TWO_PI)
                  * np.interp(b2, xs_mu, mu.density, period=TWO_PI))
     vals = end_w * np.exp(spec.lam**2 * acc * dt_bm)
-    return MomentEstimate(t=float(t), x=(x0,), p=2.0,
+    return MomentEstimate(t=float(t), x=(x0,), x_grid=(x0,), p=2.0,
                           value=float(np.mean(vals)),
                           std_err=jackknife_se(vals), n_samples=n_paths)
 

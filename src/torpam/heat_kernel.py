@@ -9,7 +9,8 @@ flattening constant ``Theta_{eps,d}``, and pointwise checks of the
 sandwich and Hoelder-increment inequalities.
 
 All evaluators are pure functions of their arguments and broadcast over
-numpy arrays.
+numpy arrays.  A single point at a single time takes a scalar route that
+gives the same bits as the array route.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .lattice import cube_points
 
 TWO_PI = 2.0 * math.pi
 
-# series truncation: hard cap on the number of terms of either expansion
+# series truncation: hard cap on the number of terms of either expansion;
+# a time whose tail tolerance needs more terms is refused
 MAX_TERMS = 64
 
 
@@ -111,18 +113,104 @@ def gauss_kernel(t, x):
     return (TWO_PI * t) ** (-xa.shape[-1] / 2.0) * np.exp(-sq / (2.0 * t))
 
 
+# Route choice.  A 0-d t and a single point (a float, a length-d sequence
+# or array, a TorusPoint) take the scalar route: t and the coordinates are
+# Python floats, each series call evaluates all its exponentials in one
+# np.exp over a list and adds them as floats, in the order the array route
+# adds them.  Anything else takes the array route, which adds one term array
+# at a time to bound the memory of large batches.  np.exp and np.cos give
+# the same bits on a list as on an array, so the two routes agree bitwise.
+def _time(name, t):
+    """``t`` refused unless positive; a Python float when 0-d."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        t = float(t)
+        ok = t > 0.0
+    else:
+        ok = np.all(t > 0.0)
+    if not ok:
+        raise DomainError(f"{name} requires t > 0")
+    return t
+
+
+def _route(name, t, xa):
+    """Validated ``(t, cols)`` for the coordinate array ``xa``, one entry of
+    ``cols`` per axis: Python floats on the scalar route, the arrays
+    ``xa[..., i]`` on the array route."""
+    t = _time(name, t)
+    if isinstance(t, float) and xa.ndim == 1:
+        cols = xa.tolist()
+        finite = all(map(math.isfinite, cols))
+    else:
+        cols = [xa[..., i] for i in range(xa.shape[-1])]
+        finite = np.all(np.isfinite(xa))
+    if not finite:
+        raise DomainError(f"{name} requires finite x")
+    return t, cols
+
+
+def _largest(t):
+    return t if isinstance(t, float) else float(np.max(t))
+
+
+def _reduce(x):
+    """signed_mod of a validated coordinate; float % matches np.mod bitwise."""
+    if isinstance(x, float):
+        return (x + math.pi) % TWO_PI - math.pi
+    return signed_mod(x)
+
+
+def _product(one_d, t, cols):
+    """prod_i one_d(t, cols[i])."""
+    out = one_d(t, cols[0])
+    for xi in cols[1:]:
+        out = out * one_d(t, xi)
+    return out
+
+
 # Both series take a term count fixed in advance from the largest (image) or
 # smallest (cosine) time: a stop test would cost a reduction per term.
+def _term_count(last, series, t):
+    """ceil(last) + 1 terms, refused above MAX_TERMS: a capped series would
+    be silently wrong."""
+    if not last <= MAX_TERMS - 1:
+        raise DomainError(f"the {series} series does not converge within "
+                          f"MAX_TERMS = {MAX_TERMS} terms at t = {t:g}")
+    return math.ceil(last) + 1
+
+
+def _image_terms(t_max):
+    """Image-series term count at largest time ``t_max``: the images at
+    2 pi k weigh exp(-(2 pi k - pi)^2 / 2t) at most, below tail_tol from
+    k = (width + pi) / 2 pi on; one more term for margin.  Refused above
+    t ~ 2230."""
+    width = math.sqrt(2.0 * t_max * math.log(1.0 / DEFAULT_CONFIG.tail_tol))
+    return _term_count((width + math.pi) / TWO_PI, "image", t_max)
+
+
+def _cosine_terms(t_min):
+    """Cosine-series term count at smallest time ``t_min``: terms fall below
+    tail_tol from n^2 t / 2 = log(1 / tail_tol) on.  Refused below
+    t ~ 0.0174."""
+    n_cut = math.sqrt(2.0 * math.log(1.0 / DEFAULT_CONFIG.tail_tol) / t_min)
+    return _term_count(n_cut, "cosine", t_min)
+
+
 def _image_ratio(t, x):
     """G_1(t, x) / p_1(t, x) = 1 + sum_{k>=1} [exp(-2 pi k (pi k - x) / t)
     + exp(-2 pi k (pi k + x) / t)] for x in [-pi, pi): every exponent is
     nonpositive, so no term overflows."""
-    t = np.asarray(t, dtype=float)
-    # the images at 2 pi k weigh exp(-(2 pi k - pi)^2 / 2t) at most, below
-    # tail_tol from k = (width + pi) / 2 pi on; one more term for margin
-    width = math.sqrt(2.0 * float(np.max(t)) * math.log(1.0 / DEFAULT_CONFIG.tail_tol))
+    if isinstance(t, float) and isinstance(x, float):
+        exponents = []
+        for k in range(1, _image_terms(t) + 1):
+            c, shift = TWO_PI * k / t, math.pi * k
+            exponents += (c * (x - shift), c * (-shift - x))
+        acc = 1.0
+        for term in np.exp(exponents).tolist():
+            acc += term
+        return np.float64(acc)
     acc = 1.0  # an array from the first of at least two terms on
-    for k in range(1, min(MAX_TERMS, math.ceil((width + math.pi) / TWO_PI) + 1) + 1):
+    for k in range(1, _image_terms(_largest(t)) + 1):
         c, shift = TWO_PI * k / t, math.pi * k
         # one statement per image: the old sum is freed before the next term
         acc = acc + np.exp(c * (x - shift))
@@ -133,25 +221,41 @@ def _image_ratio(t, x):
 def _cosine_tail(t, x):
     """2 sum_{n>=1} exp(-n^2 t / 2) cos(n x), so that
     G_1(t, x) = (1 + _cosine_tail(t, x)) / (2 pi)."""
-    t = np.asarray(t, dtype=float)
-    # terms fall below tail_tol from n^2 t / 2 = log(1 / tail_tol) on
-    n_cut = math.sqrt(2.0 * math.log(1.0 / DEFAULT_CONFIG.tail_tol) / float(np.min(t)))
+    if isinstance(t, float) and isinstance(x, float):
+        ns = range(1, _cosine_terms(t) + 1)
+        decays = np.exp([-n * n * t / 2.0 for n in ns]).tolist()
+        waves = np.cos([n * x for n in ns]).tolist()
+        acc = 0.0
+        for decay, wave in zip(decays, waves):
+            acc += decay * wave
+        return np.float64(2.0 * acc)
     acc = 0.0  # an array from the first of at least two terms on
-    for n in range(1, min(MAX_TERMS, math.ceil(n_cut) + 1) + 1):
+    for n in range(1, _cosine_terms(float(np.min(t))) + 1):
         acc = acc + np.exp(-n * n * t / 2.0) * np.cos(n * x)
     return 2.0 * acc
 
 
+def _image_1d(t, x):
+    x = _reduce(x)
+    return _image_ratio(t, x) * (np.exp(-x * x / (2.0 * t)) / np.sqrt(TWO_PI * t))
+
+
+def _cosine_1d(t, x):
+    return (1.0 + _cosine_tail(t, x)) / TWO_PI
+
+
 def heat_kernel_1d_image(t, x):
     """G_1(t, x) by the Gaussian image sum, efficient for small t."""
-    t = np.asarray(t, dtype=float)
-    x = signed_mod(x)
-    return _image_ratio(t, x) * (np.exp(-x * x / (2.0 * t)) / np.sqrt(TWO_PI * t))
+    t, [x] = _route("heat_kernel_1d_image", t,
+                    np.asarray(x, dtype=float)[..., None])
+    return _image_1d(t, x)
 
 
 def heat_kernel_1d_spectral(t, x):
     """G_1(t, x) by the Fourier cosine series, efficient for large t."""
-    return (1.0 + _cosine_tail(t, np.asarray(x, dtype=float))) / TWO_PI
+    t, [x] = _route("heat_kernel_1d_spectral", t,
+                    np.asarray(x, dtype=float)[..., None])
+    return _cosine_1d(t, x)
 
 
 def heat_kernel(t, x):
@@ -162,16 +266,9 @@ def heat_kernel(t, x):
     ``x`` may be a scalar (d = 1), a length-d sequence, or an array whose
     last axis is the coordinate axis; leading axes broadcast.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("heat_kernel requires t > 0")
-    xa = as_coords(x)
-    one_d = (heat_kernel_1d_image if np.max(t) <= DEFAULT_CONFIG.t_switch
-             else heat_kernel_1d_spectral)
-    out = one_d(t, xa[..., 0])
-    for i in range(1, xa.shape[-1]):
-        out = out * one_d(t, xa[..., i])
-    return out
+    t, cols = _route("heat_kernel", t, as_coords(x))
+    one_d = _image_1d if _largest(t) <= DEFAULT_CONFIG.t_switch else _cosine_1d
+    return _product(one_d, t, cols)
 
 
 def theta_c(t, form="auto"):
@@ -183,11 +280,9 @@ def theta_c(t, form="auto"):
     fast for large t): the image and cosine series at x = 0.  ``"auto"``
     switches at ``t = 2*pi``.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("theta_c requires t > 0")
+    t = _time("theta_c", t)
     if form == "auto":
-        form = "s" if float(np.max(t)) <= TWO_PI else "s_prime"
+        form = "s" if _largest(t) <= TWO_PI else "s_prime"
     if form == "s":
         return _image_ratio(t, 0.0)
     if form == "s_prime":
@@ -197,15 +292,12 @@ def theta_c(t, form="auto"):
 
 def log_heat_kernel(t, x):
     """log G_d(t, x), stable where G underflows (small t, |x| near pi)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("log_heat_kernel requires t > 0")
-    xa = signed_mod(as_coords(x))
-    if np.max(t) > DEFAULT_CONFIG.t_switch:
-        return np.log(heat_kernel(t, xa))
+    t, cols = _route("log_heat_kernel", t, as_coords(x))
+    cols = [_reduce(xi) for xi in cols]
+    if _largest(t) > DEFAULT_CONFIG.t_switch:
+        return np.log(_product(_cosine_1d, t, cols))
     out = 0.0
-    for i in range(xa.shape[-1]):
-        xi = xa[..., i]
+    for xi in cols:
         out = out + (-0.5 * np.log(TWO_PI * t) - xi * xi / (2.0 * t)
                      + np.log(_image_ratio(t, xi)))
     return out
@@ -213,14 +305,8 @@ def log_heat_kernel(t, x):
 
 def kernel_ratio(t, x):
     """G_d(t, x) / p_d(t, signed_mod(x)) evaluated without under/overflow."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("kernel_ratio requires t > 0")
-    xa = signed_mod(as_coords(x))
-    out = _image_ratio(t, xa[..., 0])
-    for i in range(1, xa.shape[-1]):
-        out = out * _image_ratio(t, xa[..., i])
-    return out
+    t, cols = _route("kernel_ratio", t, as_coords(x))
+    return _product(_image_ratio, t, [_reduce(xi) for xi in cols])
 
 
 def kernel_sandwich_check(t, x):

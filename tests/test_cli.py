@@ -69,6 +69,15 @@ class TestExitCodes:
         code, _ = run(tmp_path, "bad", "kernel-eval", "--t", "-1", "--x", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("d,x", [("2", "0.3"), ("1", "0.3,0.2,0.1")])
+    def test_kernel_eval_point_of_wrong_dimension_is_one(self, tmp_path,
+                                                         capsys, d, x):
+        code, out = run(tmp_path, "dim", "kernel-eval", "--d", d, "--t",
+                        "0.5", "--x", x)
+        assert code == 1
+        assert "--x has" in capsys.readouterr().err
+        assert not (out / "kernel_eval.json").exists()
+
     def test_missing_alpha_is_one(self, tmp_path, capsys):
         code, _ = run(tmp_path, "noalpha", "cov-eval", "--x", "1.0")
         assert code == 1

@@ -47,6 +47,16 @@ class TestMcMoments:
         est = ex.mc_moments(cfg, mu, 2, 200, [0.25], [[0.0]], seed=1)[0]
         assert est.value == pytest.approx(TWO_PI ** -2, rel=1e-6)
 
+    def test_reports_the_grid_point_read(self, spec_d1):
+        # grid_n = 11: the grid is -pi + 2 pi j / 11, which misses 0.0; the
+        # grid point nearest to 0.1 is pi / 11
+        cfg = solver_config(spec_d1, grid_n=11, mode_k=3, dt=0.05,
+                            t_final=0.1)
+        mu = InitialMeasure.uniform(1.0)
+        est = ex.mc_moments(cfg, mu, 2, 8, [0.1], [[0.1]], seed=1)[0]
+        assert est.x == (0.1,)
+        assert est.x_grid == pytest.approx((TWO_PI / 22,), rel=1e-15)
+
     def test_chunking_is_scheduling_invariant(self, spec_d1):
         cfg = solver_config(spec_d1, grid_n=16, mode_k=4, dt=0.02,
                             t_final=0.1)

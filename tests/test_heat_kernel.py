@@ -308,5 +308,131 @@ class TestSeriesReference:
     @pytest.mark.parametrize("form", ["s", "s_prime"])
     def test_theta_c(self, form):
         for t, _ in self.points():
+            if form == "s_prime" and t < COSINE_T_MIN:
+                # the reference stops at 64 terms too: both would be wrong
+                with pytest.raises(DomainError):
+                    hk.theta_c(t, form=form)
+                continue
             assert float(hk.theta_c(t, form=form)) == pytest.approx(
                 reference_theta_c(t, form), rel=1e-14, abs=0.0)
+
+
+# the series converge within MAX_TERMS terms for t >= COSINE_T_MIN (cosine)
+# and t <= IMAGE_T_MAX (image): the last term index is sqrt(2 log(1/tol)/t)
+# and (sqrt(2 t log(1/tol)) + pi) / 2 pi, one term of margin on top
+LOG_TOL = math.log(1.0 / hk.DEFAULT_CONFIG.tail_tol)
+COSINE_T_MIN = 2.0 * LOG_TOL / (hk.MAX_TERMS - 1) ** 2
+IMAGE_T_MAX = ((hk.MAX_TERMS - 1) * 2 * PI - PI) ** 2 / (2.0 * LOG_TOL)
+
+
+class TestSeriesCap:
+    def test_cap_times(self):
+        assert 0.0174 < COSINE_T_MIN < 0.0175
+        assert 2230 < IMAGE_T_MAX < 2235
+
+    def test_cosine_refused_below(self):
+        t = 0.999 * COSINE_T_MIN
+        with pytest.raises(DomainError):
+            hk.theta_c(t, form="s_prime")
+        with pytest.raises(DomainError):
+            hk.heat_kernel_1d_spectral(t, 0.5)
+        with pytest.raises(DomainError):
+            hk.heat_kernel_1d_spectral(np.array([t, 1.0]), 0.5)
+        # a batch takes the cosine route from its largest time, so its
+        # smallest time is refused
+        with pytest.raises(DomainError):
+            hk.heat_kernel(np.array([t, 10.0]), [[0.5], [0.5]])
+        t = 1.001 * COSINE_T_MIN
+        assert float(hk.heat_kernel_1d_spectral(t, 0.5)) == pytest.approx(
+            float(hk.heat_kernel_1d_image(t, 0.5)), rel=1e-12, abs=1e-300)
+        assert float(hk.theta_c(t, form="s_prime")) == pytest.approx(
+            float(hk.theta_c(t, form="s")), rel=1e-13)
+
+    def test_image_refused_above(self):
+        t = 1.001 * IMAGE_T_MAX
+        for call in (lambda: hk.heat_kernel_1d_image(t, 0.5),
+                     lambda: hk.kernel_ratio(t, [0.5]),
+                     lambda: hk.theta_c(t, form="s"),
+                     lambda: hk.heat_kernel_1d_image(np.array([1.0, t]), 0.5)):
+            with pytest.raises(DomainError):
+                call()
+        t = 0.999 * IMAGE_T_MAX
+        assert float(hk.heat_kernel_1d_image(t, 0.5)) == pytest.approx(
+            float(hk.heat_kernel_1d_spectral(t, 0.5)), rel=1e-12)
+
+
+class TestDomain:
+    @pytest.mark.parametrize("t", [0.5, 10.0], ids=["image", "cosine"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_x(self, t, bad):
+        for x in (bad, [0.1, bad], np.array([[0.1], [bad]])):
+            with pytest.raises(DomainError):
+                hk.heat_kernel(t, x)
+            with pytest.raises(DomainError):
+                hk.heat_kernel(np.array([t, t]), x)
+        one_d = hk.heat_kernel_1d_image if t < 1 else hk.heat_kernel_1d_spectral
+        with pytest.raises(DomainError):
+            one_d(t, bad)
+
+    @pytest.mark.parametrize("f", [hk.heat_kernel, hk.log_heat_kernel,
+                                   hk.kernel_ratio, hk.heat_kernel_1d_image,
+                                   hk.heat_kernel_1d_spectral])
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, [1.0, 0.0]])
+    def test_rejects_bad_time(self, f, t):
+        with pytest.raises(DomainError):
+            f(t, 0.5)
+
+
+# times on both sides of t_switch, coordinates anywhere on the line and
+# within 1e-9 of +-pi
+TIMES = st.one_of(st.floats(1e-3, 200.0),
+                  st.sampled_from([hk.DEFAULT_CONFIG.t_switch,
+                                   math.nextafter(hk.DEFAULT_CONFIG.t_switch, 7.0)]))
+COORDINATES = st.one_of(st.floats(-10.0, 10.0),
+                        st.floats(0.0, 1e-9).map(lambda e: PI - e),
+                        st.floats(0.0, 1e-9).map(lambda e: -PI + e))
+
+
+@st.composite
+def single_points(draw):
+    """(point as given, its coordinates): a float (d = 1), a list or a
+    TorusPoint, d = 1..3."""
+    coords = draw(st.lists(COORDINATES, min_size=1, max_size=3))
+    kinds = ["list", "torus"] + (["float"] if len(coords) == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "float":
+        return coords[0], coords
+    if kind == "torus":
+        point = hk.TorusPoint(coords)
+        return point, list(point.coords)
+    return coords, coords
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestScalarRoute:
+    """A single point at a single time takes the scalar route; the same
+    point twice in a batch takes the array route.  The bits agree."""
+
+    @given(TIMES, single_points())
+    @settings(max_examples=300, deadline=None)
+    def test_evaluators_match_array_route(self, t, case):
+        x, coords = case
+        ts, batch = np.array([t, t]), np.array([coords, coords])
+        for f in (hk.heat_kernel, hk.log_heat_kernel, hk.kernel_ratio):
+            one = f(t, x)
+            assert isinstance(one, np.float64)
+            assert same_bits(one, f(ts, batch)[0])
+        for f in (hk.heat_kernel_1d_image,) + (
+                (hk.heat_kernel_1d_spectral,) if t >= COSINE_T_MIN else ()):
+            assert same_bits(f(t, coords[0]), f(ts, [coords[0]] * 2)[0])
+
+    @given(TIMES)
+    @settings(max_examples=300, deadline=None)
+    def test_theta_c_matches_array_route(self, t):
+        forms = ["auto", "s"] + (["s_prime"] if t >= COSINE_T_MIN else [])
+        for form in forms:
+            assert same_bits(hk.theta_c(t, form),
+                             hk.theta_c(np.array([t, t]), form)[0])
