@@ -230,6 +230,15 @@ def covariance_eval_integral(spec, x):
     return spec.rho * flat + (short + long_part) / math.gamma(a)
 
 
+def grid_minimum(spec, n_grid):
+    """Minimum of f over the n_grid^d points of the [-pi, pi)^d linspace
+    grid, the origin left out: one covariance_eval_batch call."""
+    pts = cube_points(np.linspace(-math.pi, math.pi, n_grid, endpoint=False),
+                      spec.d)
+    return float(np.min(covariance_eval_batch(
+        spec, pts[np.any(pts != 0.0, axis=-1)])))
+
+
 def rho_star(alpha, d, n_grid=None):
     """Positivity threshold of rho -> f_{alpha,rho}.
 
@@ -242,11 +251,8 @@ def rho_star(alpha, d, n_grid=None):
         raise DomainError("rho_star grid scan implemented for d in {1, 2}")
     if n_grid is None:
         n_grid = {1: 4096, 2: 181}[d]
-    spec0 = NoiseSpec(d=d, alpha=alpha, rho=0.0, lam=1.0)
-    pts = cube_points(np.linspace(-math.pi, math.pi, n_grid, endpoint=False), d)
-    pts = pts[np.any(pts != 0.0, axis=-1)]
-    vals = covariance_eval_batch(spec0, pts)
-    grid_min = float(np.min(vals))
+    grid_min = grid_minimum(NoiseSpec(d=d, alpha=alpha, rho=0.0, lam=1.0),
+                            n_grid)
     est = TWO_PI**d * max(0.0, -grid_min)
     sufficient = (TWO_PI ** (-d / 2.0) / math.gamma(alpha + 1.0)
                   + TWO_PI ** (d / 2.0) * 2.0**alpha * theta_eps(1.0, d))

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moment_calculus as mc
-from .covariance import NoiseSpec, covariance_truncated
+from .covariance import NoiseSpec, covariance_truncated, grid_minimum
 from .errors import DomainError
 from .heat_kernel import TWO_PI, heat_kernel, signed_mod
 from .lattice import lattice_vectors
 from .noise_field import grid_points, step_rng
-from .pam_solver import j0, solve_ensemble
+from .pam_solver import j0, solve_ensemble, whole_steps
 
 
 def jackknife_se(values):
@@ -103,34 +103,32 @@ def mc_moments(config, mu, p, n_samples, t_list, x_list, seed=0,
 def covariance_infimum(spec, n_grid=2048):
     """Grid infimum of the covariance (d = 1); the level C_f of the
     second-moment lower bound when it is positive."""
-    from .covariance import covariance_eval_batch
-
     if spec.d != 1:
         raise DomainError(f"covariance_infimum scans d = 1 only, got d = {spec.d}")
-    xs = np.linspace(-math.pi, math.pi, n_grid, endpoint=False)
-    xs = xs[xs != 0.0][:, None]
-    return float(np.min(covariance_eval_batch(spec, xs)))
+    return grid_minimum(spec, n_grid)
 
 
 def moment_bound_report(config, mu, n_samples, t_list, x, seed=0,
                         rho_suff=None, n_chunks=1, threads=1):
     """Second-moment estimates against the p = 2 upper bound and, when the
     noise level makes the covariance nonnegative (rho >= rho_sufficient*),
-    the exponential lower bound with eps = t."""
+    the exponential lower bound with eps = t.  Both bounds are evaluated at
+    ``x_grid``, the grid point the estimate was read at."""
     spec = config.spec
     ests = mc_moments(config, mu, 2, n_samples, t_list, [x], seed=seed,
                       n_chunks=n_chunks, threads=threads)
     rows = []
     for est in ests:
-        upper = mc.p_moment_upper(est.t, np.asarray(est.x), 2.0, mu, spec) ** 2
+        x_grid = np.asarray(est.x_grid)
+        upper = mc.p_moment_upper(est.t, x_grid, 2.0, mu, spec) ** 2
         row = {
-            "t": est.t, "x": est.x, "value": est.value,
+            "t": est.t, "x": est.x, "x_grid": est.x_grid, "value": est.value,
             "std_err": est.std_err, "upper": upper,
             "upper_ok": est.value - 3.0 * est.std_err <= upper,
         }
         if rho_suff is not None and spec.rho >= rho_suff:
             c_f = covariance_infimum(spec)
-            j0v = float(j0(est.t, np.asarray(est.x), mu, d=spec.d))
+            j0v = float(j0(est.t, x_grid, mu, d=spec.d))
             lower = mc.lower_bound_second_moment(
                 est.t, est.t, c_f, mu.total_mass(spec.d), spec.lam, spec.d,
                 j0_val=j0v)
@@ -212,12 +210,7 @@ def resolvent_Ln(spec, n_max, t_grid, a_grid_n=9, q_grid_n=33,
         raise DomainError("resolvent quadrature is restricted to d = 1")
     if n_max > 3:
         raise DomainError("n_max > 3 exceeds the intended quadrature cost")
-    t = np.asarray(t_grid, dtype=float)
-    if t[0] != 0.0 or t.size < 3:
-        raise DomainError("t_grid must start at 0 with at least 3 nodes")
-    dt = t[1] - t[0]
-    if not np.allclose(np.diff(t), dt, rtol=1e-12):
-        raise DomainError("t_grid must be uniform")
+    t, dt = mc.uniform_time_grid(t_grid, 3)
 
     a_grid = grid_points(a_grid_n, 1)[:, 0]
     q_grid = grid_points(q_grid_n, 1)[:, 0]
@@ -298,20 +291,13 @@ def two_point(spec, mu, t, x, x_prime, n_max=3, kmax=16):
         raise DomainError("two_point quadrature is restricted to d = 1")
     if n_max > 3:
         raise DomainError("n_max > 3 exceeds the intended quadrature cost")
-    if mu.variant not in ("uniform", "density"):
-        raise DomainError("two_point needs an absolutely continuous mu")
     t_nodes, q_grid_n = 21, 33
+    q = grid_points(q_grid_n, 1)[:, 0]
+    mu_vals = mu.density_at(q)
     tg = np.linspace(0.0, t, t_nodes)
     dt = tg[1] - tg[0]
-    q = grid_points(q_grid_n, 1)[:, 0]
     cell = TWO_PI / q_grid_n
     fq = _capped_f_values(spec, q[:, None] - q[None, :], kmax, cell)
-    if mu.variant == "uniform":
-        mu_vals = np.full(q_grid_n, mu.mass * TWO_PI ** (-1))
-    else:
-        if mu.density.shape[0] != q_grid_n:
-            raise DomainError(f"density grid must have {q_grid_n} points")
-        mu_vals = mu.density.astype(float)
 
     gq = [None] + [_kernel_matrix(tg[j], q, q) for j in range(1, t_nodes)]
     # M_0[j, z, z'] = J0(t_j, z) J0(t_j, z')
@@ -408,13 +394,6 @@ def _pair_walk(spec, kmax, x0, n_paths, stops, dt_bm, rng):
         done += k
 
 
-def _refuse_rounded_horizon(t, n_steps, dt_bm):
-    if abs(n_steps * dt_bm - t) > 1e-9 * t:
-        raise DomainError(f"horizon t = {t:g} is not a whole number of steps "
-                          f"dt_bm = {dt_bm:g}; {n_steps} steps reach "
-                          f"{n_steps * dt_bm:.12g}")
-
-
 def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
                               kmax=16):
     """Pair-of-Brownian-motions estimator of E[u(t,x)^2] for bounded
@@ -429,22 +408,14 @@ def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
     """
     if spec.d != 1:
         raise DomainError("the pair estimator is implemented for d = 1")
-    if mu.variant not in ("uniform", "density"):
-        raise DomainError("Feynman-Kac needs bounded density initial data")
-    n_steps = int(round(t / dt_bm))
+    x0 = float(np.atleast_1d(x)[0])
+    mu.density_at(x0)  # refuses atoms before the walk
+    n_steps = whole_steps(t, dt_bm, "horizon t", "dt_bm")
     if n_steps < 1:
         raise DomainError("dt_bm larger than the horizon")
-    _refuse_rounded_horizon(t, n_steps, dt_bm)
-    x0 = float(np.atleast_1d(x)[0])
     [(_, b1, b2, acc)] = _pair_walk(spec, kmax, x0, n_paths, [n_steps],
                                     dt_bm, step_rng(seed, 0, stream=1))
-    if mu.variant == "uniform":
-        end_w = np.full(n_paths, mu.mass * TWO_PI ** (-1)) ** 2
-    else:
-        n = mu.density.shape[0]
-        xs_mu = grid_points(n, 1)[:, 0]
-        end_w = (np.interp(b1, xs_mu, mu.density, period=TWO_PI)
-                 * np.interp(b2, xs_mu, mu.density, period=TWO_PI))
+    end_w = mu.density_at(b1) * mu.density_at(b2)
     vals = end_w * np.exp(spec.lam**2 * acc * dt_bm)
     return MomentEstimate(t=float(t), x=(x0,), x_grid=(x0,), p=2.0,
                           value=float(np.mean(vals)),
@@ -487,8 +458,8 @@ def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0):
     if len(set(steps)) < len(steps):
         raise DomainError(f"horizons {t_list} round to the same step of "
                           f"dt_bm = {dt_bm:g}")
-    for t, n_steps in zip(t_list, steps):
-        _refuse_rounded_horizon(t, n_steps, dt_bm)
+    for t in t_list:
+        whole_steps(t, dt_bm, "horizon t", "dt_bm")
     targets = dict(zip(steps, t_list))
     sq = lattice_vectors(1, 16).astype(float)[:, 0] ** 2
     weights = sq ** (-spec.alpha)

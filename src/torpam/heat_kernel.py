@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -149,10 +150,6 @@ def _route(name, t, xa):
     return t, cols
 
 
-def _largest(t):
-    return t if isinstance(t, float) else float(np.max(t))
-
-
 def _reduce(x):
     """signed_mod of a validated coordinate; float % matches np.mod bitwise."""
     if isinstance(x, float):
@@ -210,7 +207,7 @@ def _image_ratio(t, x):
             acc += term
         return np.float64(acc)
     acc = 1.0  # an array from the first of at least two terms on
-    for k in range(1, _image_terms(_largest(t)) + 1):
+    for k in range(1, _image_terms(float(np.max(t))) + 1):
         c, shift = TWO_PI * k / t, math.pi * k
         # one statement per image: the old sum is freed before the next term
         acc = acc + np.exp(c * (x - shift))
@@ -244,6 +241,29 @@ def _cosine_1d(t, x):
     return (1.0 + _cosine_tail(t, x)) / TWO_PI
 
 
+_image_nd = partial(_product, _image_1d)
+_cosine_nd = partial(_product, _cosine_1d)
+
+
+def _by_series(image, cosine, t, cols):
+    """image(t, cols) where t <= t_switch, cosine(t, cols) above: a batch
+    that straddles the switch is split, so each entry gets its own series
+    (a single t picks one with no numpy call)."""
+    if isinstance(t, float):
+        return (image if t <= DEFAULT_CONFIG.t_switch else cosine)(t, cols)
+    low = t <= DEFAULT_CONFIG.t_switch
+    if low.all():
+        return image(t, cols)
+    if not low.any():
+        return cosine(t, cols)
+    t, *cols = np.broadcast_arrays(t, *cols)
+    low = t <= DEFAULT_CONFIG.t_switch
+    out = np.empty(t.shape)
+    out[low] = image(t[low], [xi[low] for xi in cols])
+    out[~low] = cosine(t[~low], [xi[~low] for xi in cols])
+    return out
+
+
 def heat_kernel_1d_image(t, x):
     """G_1(t, x) by the Gaussian image sum, efficient for small t."""
     t, [x] = _route("heat_kernel_1d_image", t,
@@ -261,14 +281,13 @@ def heat_kernel_1d_spectral(t, x):
 def heat_kernel(t, x):
     """Torus heat kernel G_d(t, x) = prod_i G_1(t, x_i).
 
-    Picks the image sum for ``t <= DEFAULT_CONFIG.t_switch`` and the cosine
-    series otherwise; both agree to ~1e-12 on a band around the switch.
-    ``x`` may be a scalar (d = 1), a length-d sequence, or an array whose
-    last axis is the coordinate axis; leading axes broadcast.
+    Each entry takes the image sum if its ``t <= DEFAULT_CONFIG.t_switch``
+    and the cosine series otherwise; both agree to ~1e-12 on a band around
+    the switch.  ``x`` may be a scalar (d = 1), a length-d sequence, or an
+    array whose last axis is the coordinate axis; leading axes broadcast.
     """
     t, cols = _route("heat_kernel", t, as_coords(x))
-    one_d = _image_1d if _largest(t) <= DEFAULT_CONFIG.t_switch else _cosine_1d
-    return _product(one_d, t, cols)
+    return _by_series(_image_nd, _cosine_nd, t, cols)
 
 
 def theta_c(t, form="auto"):
@@ -278,24 +297,35 @@ def theta_c(t, form="auto"):
     ``sum_n exp(-2 n^2 pi^2 / t)`` (form ``"s"``, fast for small t) and the
     rescaled sum ``sqrt(t/2pi) * sum_n exp(-n^2 t / 2)`` (form ``"s_prime"``,
     fast for large t): the image and cosine series at x = 0.  ``"auto"``
-    switches at ``t = 2*pi``.
+    takes, per entry, ``"s"`` up to ``t = 2*pi`` and ``"s_prime"`` above.
     """
     t = _time("theta_c", t)
     if form == "auto":
-        form = "s" if _largest(t) <= TWO_PI else "s_prime"
+        return _by_series(_theta_s, _theta_s_prime, t, [])
     if form == "s":
-        return _image_ratio(t, 0.0)
+        return _theta_s(t, [])
     if form == "s_prime":
-        return np.sqrt(t / TWO_PI) * (1.0 + _cosine_tail(t, 0.0))
+        return _theta_s_prime(t, [])
     raise DomainError(f"unknown form {form!r}")
+
+
+def _theta_s(t, _):
+    return _image_ratio(t, 0.0)
+
+
+def _theta_s_prime(t, _):
+    return np.sqrt(t / TWO_PI) * (1.0 + _cosine_tail(t, 0.0))
 
 
 def log_heat_kernel(t, x):
     """log G_d(t, x), stable where G underflows (small t, |x| near pi)."""
     t, cols = _route("log_heat_kernel", t, as_coords(x))
-    cols = [_reduce(xi) for xi in cols]
-    if _largest(t) > DEFAULT_CONFIG.t_switch:
-        return np.log(_product(_cosine_1d, t, cols))
+    return _by_series(_log_image, lambda t, cols: np.log(_cosine_nd(t, cols)),
+                      t, [_reduce(xi) for xi in cols])
+
+
+def _log_image(t, cols):
+    """sum_i log G_1(t, cols[i]) from the image series in log form."""
     out = 0.0
     for xi in cols:
         out = out + (-0.5 * np.log(TWO_PI * t) - xi * xi / (2.0 * t)

@@ -302,6 +302,19 @@ def _convolve_level(prev, P, A):
     return out
 
 
+def uniform_time_grid(t_grid, min_nodes):
+    """``(t, dt)`` of a 1-d grid of at least ``min_nodes`` nodes that starts
+    at 0; refused unless uniform to rtol 1e-12, atol 1e-14."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size < min_nodes or t[0] != 0.0:
+        raise DomainError("t_grid must be 1-d, start at 0 and have >= "
+                          f"{min_nodes} nodes")
+    dt = t[1] - t[0]
+    if not np.allclose(np.diff(t), dt, rtol=1e-12, atol=1e-14):
+        raise DomainError("t_grid must be uniform")
+    return t, dt
+
+
 def hn_table(spec, n_max, t_grid):
     """Rows h_0..h_{n_max} on a uniform grid starting at 0.
 
@@ -309,12 +322,7 @@ def hn_table(spec, n_max, t_grid):
     Refuses when the integrability condition fails (k2 not integrable).
     """
     spec.require_dalang()
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2 or t[0] != 0.0:
-        raise DomainError("t_grid must be 1-d, start at 0 and have >= 2 nodes")
-    dt = t[1] - t[0]
-    if not np.allclose(np.diff(t), dt, rtol=1e-12, atol=1e-14):
-        raise DomainError("t_grid must be uniform")
+    t, dt = uniform_time_grid(t_grid, 2)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
 
@@ -329,12 +337,13 @@ def hn_table(spec, n_max, t_grid):
 
 def _march_step(spec, t_max, lam2):
     """Default step of the H_lambda march: min(0.02, t_max/256), and at
-    strong coupling also 0.2/gamma0 so that each e-fold of the growth is
-    resolved.  Coupling counts as strong once 4 B + 2 M >= 345, with B the
-    linear budget lambda^2 int_0^t (k1 + k2 + 1) and M the Mittag-Leffler
-    peak (lambda^2 B_riesz)^(1/q) of the power-kernel part: there the level
-    expansion needs over 600 terms and the h_n concentrate at the right end
-    of the interval."""
+    strong coupling also 0.2/gamma0, so that each e-fold of the growth of H
+    spans at least five steps.  Coupling counts as strong once
+    4 B + 2 M >= 345, with B the linear budget lambda^2 int_0^t (k1 + k2 + 1)
+    and M the Mittag-Leffler peak (lambda^2 B_riesz)^(1/q) of the
+    power-kernel part: both grow with log H(t_max).  The weights and the
+    level 345 only choose the step; they were sized for a level expansion
+    that the march replaced."""
     dt = min(0.02, t_max / 256.0)
     q = spec.alpha - spec.d / 2.0 + 1.0
     riesz_budget = riesz_gaussian_constant(spec.d, spec.alpha) * t_max**q / q

@@ -15,7 +15,7 @@ product are alias-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,20 +29,19 @@ from .noise_field import (IncrementSampler, grid_points, grid_to_modes,
 
 @dataclass(frozen=True, eq=False)
 class InitialMeasure:
-    """Finite nonnegative initial measure: uniform mass, a grid density,
-    point atoms, or a smoothed delta.  Two measures are equal when every
+    """Finite nonnegative initial measure: uniform mass, a grid density or
+    point atoms (smoothed until t0).  Two measures are equal when every
     field is, the density by shape and values."""
 
     variant: str
     mass: float = 1.0
     density: np.ndarray | None = None
     atoms: tuple = ()
-    x0: tuple = (0.0,)
     t0: float = 0.0
 
     def _key(self):
         dens = self.density
-        return (self.variant, self.mass, self.atoms, self.x0, self.t0,
+        return (self.variant, self.mass, self.atoms, self.t0,
                 None if dens is None else (dens.shape, tuple(dens.flat)))
 
     def __eq__(self, other):
@@ -75,10 +74,10 @@ class InitialMeasure:
 
     @classmethod
     def delta(cls, x0, smoothing_time):
+        """A smoothed delta: one unit atom at x0, started at G(t, . - x0)."""
         if smoothing_time <= 0:
             raise DomainError("delta data needs a positive smoothing time")
-        return cls(variant="delta", x0=tuple(np.atleast_1d(np.asarray(x0, float))),
-                   t0=float(smoothing_time))
+        return replace(cls.point_atoms([(x0, 1.0)]), t0=float(smoothing_time))
 
     def total_mass(self, d):
         if self.variant == "uniform":
@@ -88,9 +87,18 @@ class InitialMeasure:
             return float(np.sum(self.density) * (TWO_PI / n) ** d)
         if self.variant == "atoms":
             return float(sum(m for _, m in self.atoms))
-        if self.variant == "delta":
-            return 1.0
         raise DomainError(f"unknown variant {self.variant}")
+
+    def density_at(self, x):
+        """The d = 1 density at the points x: mass / 2 pi for uniform data,
+        periodic linear interpolation on its own grid (exact at the nodes)
+        for a density.  Atoms have no bounded density and are refused."""
+        if self.variant == "uniform":
+            return np.full(np.shape(x), self.mass * TWO_PI ** (-1))
+        if self.variant == "density" and self.density.ndim == 1:
+            nodes = grid_points(self.density.shape[0], 1)[:, 0]
+            return np.interp(x, nodes, self.density, period=TWO_PI)
+        raise DomainError(f"{self.variant} data has no bounded d = 1 density")
 
 
 def j0(t, x, mu, d=None):
@@ -108,14 +116,21 @@ def j0(t, x, mu, d=None):
         for pos, m in mu.atoms:
             total = total + m * heat_kernel(t, xa - np.asarray(pos))
         return float(total) if np.ndim(total) == 0 else total
-    if mu.variant == "delta":
-        return heat_kernel(t, xa - np.asarray(mu.x0))
     if mu.variant == "density":
         n = mu.density.shape[0]
         pts = grid_points(n, d)
         vals = heat_kernel(t, xa[..., None, :] - pts)
         return np.sum(vals * mu.density.ravel(), axis=-1) * (TWO_PI / n) ** d
     raise DomainError(f"unknown variant {mu.variant}")
+
+
+def whole_steps(t, dt, t_name, dt_name):
+    """The number of steps dt in the horizon t, refused unless whole."""
+    n = int(round(t / dt))
+    if abs(n * dt - t) > 1e-9 * t:
+        raise DomainError(f"{t_name} = {t:g} is not a whole number of steps "
+                          f"{dt_name} = {dt:g}; {n} steps reach {n * dt:.12g}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -131,11 +146,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_final < self.dt:
             raise DomainError("need 0 < dt <= t_final")
-        if abs(self.n_steps * self.dt - self.t_final) > 1e-9 * self.t_final:
-            raise DomainError(
-                f"t_final = {self.t_final:g} is not a whole number of steps "
-                f"dt = {self.dt:g}; {self.n_steps} steps reach "
-                f"{self.n_steps * self.dt:.12g}")
+        whole_steps(self.t_final, self.dt, "t_final", "dt")
         need = 3 * self.mode_k + 1
         if self.grid_n < need:
             raise AliasingError(
@@ -145,7 +156,7 @@ class SolverConfig:
 
     @property
     def n_steps(self):
-        return int(round(self.t_final / self.dt))
+        return whole_steps(self.t_final, self.dt, "t_final", "dt")
 
 
 @dataclass(frozen=True)
@@ -167,10 +178,10 @@ def _heat_factor(config):
 
 
 def initial_field(config, mu):
-    """Grid field at the stepping start time (t0 for delta data, else 0+).
+    """Grid field at the stepping start time (mu.t0 or dt for atoms, else 0+).
 
-    Uniform and density data start at their own values; atoms and deltas
-    start from the heat-smoothed kernel at t0 (default dt)."""
+    Uniform and density data start at their own values; atoms start from
+    the heat-smoothed kernel at that time."""
     n, d = config.grid_n, config.spec.d
     pts = grid_points(n, d)
     shape = (n,) * d
@@ -180,13 +191,10 @@ def initial_field(config, mu):
         if mu.density.shape != shape:
             raise DomainError("density grid must match solver grid")
         return mu.density.astype(float).copy(), 0.0
-    t0 = mu.t0 if mu.variant == "delta" and mu.t0 > 0 else config.dt
+    t0 = mu.t0 or config.dt
     vals = np.zeros(len(pts))
-    if mu.variant == "delta":
-        vals = heat_kernel(t0, pts - np.asarray(mu.x0))
-    else:
-        for pos, m in mu.atoms:
-            vals = vals + m * heat_kernel(t0, pts - np.asarray(pos))
+    for pos, m in mu.atoms:
+        vals = vals + m * heat_kernel(t0, pts - np.asarray(pos))
     return vals.reshape(shape), t0
 
 

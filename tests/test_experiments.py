@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torpam import experiments as ex
+from torpam import moment_calculus as mc
 from torpam.covariance import NoiseSpec
 from torpam.errors import DomainError
 from torpam.heat_kernel import TWO_PI, signed_mod
@@ -73,6 +74,24 @@ class TestMcMoments:
         rows = ex.moment_bound_report(cfg, mu, 400, [0.5], [0.0], seed=2)
         assert rows[0]["upper_ok"]
 
+    def test_bounds_read_at_the_grid_point(self, spec_d1):
+        # 11 grid points: the estimate at x = 0.1 is read at pi / 11
+        mu = InitialMeasure.delta([0.0], 0.01)
+        x_grid = np.array([math.pi / 11])
+        for spec in (spec_d1, NoiseSpec(d=1, alpha=0.3, rho=5.0, lam=1.0)):
+            cfg = solver_config(spec, grid_n=11, mode_k=3, dt=0.01,
+                                t_final=0.1)
+            [row] = ex.moment_bound_report(cfg, mu, 8, [0.1], [0.1], seed=0,
+                                           rho_suff=5.0)
+            assert row["x_grid"] == pytest.approx(tuple(x_grid), rel=1e-15)
+            t = row["t"]
+            upper = mc.p_moment_upper(t, x_grid, 2.0, mu, spec) ** 2
+            assert row["upper"] == upper
+            assert upper < 0.9 * mc.p_moment_upper(t, [0.1], 2.0, mu, spec) ** 2
+        assert row["lower"] == mc.lower_bound_second_moment(
+            t, t, ex.covariance_infimum(spec), 1.0, 1.0, 1,
+            j0_val=float(j0(t, x_grid, mu)))
+
     def test_covariance_infimum_is_d1_only(self):
         c_f = ex.covariance_infimum(NoiseSpec(d=1, alpha=0.3, rho=5.0),
                                     n_grid=64)
@@ -130,6 +149,14 @@ class TestResolvent:
             assert np.isfinite(fits_c[n])
             assert abs(fits_f[n] - fits_c[n]) <= 0.2 * fits_c[n]
 
+    def test_time_grid_uniform_to_hn_table_tolerance(self, spec_d1):
+        tg = np.linspace(0, 1.0, 11)
+        tg[5] += 1e-10
+        for build in (lambda: ex.resolvent_Ln(spec_d1, 0, tg),
+                      lambda: mc.hn_table(spec_d1, 1, tg)):
+            with pytest.raises(DomainError, match="uniform"):
+                build()
+
     def test_cost_refusal(self, spec_d1):
         with pytest.raises(DomainError):
             ex.resolvent_Ln(spec_d1, 4, np.linspace(0, 1, 11))
@@ -169,6 +196,18 @@ class TestTwoPoint:
         with pytest.raises(DomainError):
             ex.two_point(spec_d1, InitialMeasure.delta([0.0], 0.01),
                          0.5, [0.0], [0.0])
+
+
+@pytest.mark.parametrize("n", [16, 33, 64])
+def test_constant_density_reads_as_uniform(spec_d1, n):
+    flat = InitialMeasure.from_density(np.full(n, TWO_PI ** -1))
+    uniform = InitialMeasure.uniform(1.0)
+    fk = [ex.feynman_kac_second_moment(spec_d1, mu, 0.25, [0.3], 64, 1 / 64,
+                                       seed=1) for mu in (flat, uniform)]
+    assert (fk[0].value, fk[0].std_err) == (fk[1].value, fk[1].std_err)
+    tp = [ex.two_point(spec_d1, mu, 0.5, [0.4], [-1.0], n_max=1)
+          for mu in (flat, uniform)]
+    assert tp[0]["contributions"] == tp[1]["contributions"]
 
 
 class TestFeynmanKac:

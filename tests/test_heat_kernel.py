@@ -338,10 +338,10 @@ class TestSeriesCap:
             hk.heat_kernel_1d_spectral(t, 0.5)
         with pytest.raises(DomainError):
             hk.heat_kernel_1d_spectral(np.array([t, 1.0]), 0.5)
-        # a batch takes the cosine route from its largest time, so its
-        # smallest time is refused
-        with pytest.raises(DomainError):
-            hk.heat_kernel(np.array([t, 10.0]), [[0.5], [0.5]])
+        # each entry of a batch takes its own series, so a batch that
+        # straddles t_switch is not refused for its smallest time
+        assert np.all(np.isfinite(hk.heat_kernel(np.array([t, 10.0]),
+                                                 [[0.5], [0.5]])))
         t = 1.001 * COSINE_T_MIN
         assert float(hk.heat_kernel_1d_spectral(t, 0.5)) == pytest.approx(
             float(hk.heat_kernel_1d_image(t, 0.5)), rel=1e-12, abs=1e-300)
@@ -428,6 +428,17 @@ class TestScalarRoute:
         for f in (hk.heat_kernel_1d_image,) + (
                 (hk.heat_kernel_1d_spectral,) if t >= COSINE_T_MIN else ()):
             assert same_bits(f(t, coords[0]), f(ts, [coords[0]] * 2)[0])
+
+    def test_batch_straddling_switch_matches_scalar_calls(self):
+        ts = np.array([0.01, 10.0])
+        xs = np.array([[0.5, -2.0], [3.0, 0.25]])
+        for f in (hk.heat_kernel, hk.log_heat_kernel):
+            batch = f(ts, xs)
+            for i in range(2):
+                assert same_bits(batch[i], f(float(ts[i]), xs[i]))
+        batch = hk.theta_c(ts)
+        for i in range(2):
+            assert same_bits(batch[i], hk.theta_c(float(ts[i])))
 
     @given(TIMES)
     @settings(max_examples=300, deadline=None)

@@ -34,6 +34,27 @@ class TestInitialMeasure:
         with pytest.raises(DomainError):
             ps.InitialMeasure.delta([0.0], 0.0)
 
+    def test_delta_is_one_unit_atom(self):
+        mu = ps.InitialMeasure.delta([0.3], 0.05)
+        assert mu == ps.InitialMeasure(variant="atoms", atoms=(((0.3,), 1.0),),
+                                       t0=0.05)
+        assert mu.total_mass(1) == 1.0
+
+    @pytest.mark.parametrize("n", [16, 33, 64])
+    def test_density_read_out_exact_at_nodes(self, rng, n):
+        dens = rng.uniform(0.1, 2.0, n)
+        mu = ps.InitialMeasure.from_density(dens)
+        assert np.array_equal(mu.density_at(grid_points(n, 1)[:, 0]), dens)
+        half = mu.density_at(grid_points(n, 1)[:, 0] + PI / n)
+        assert np.allclose(half, 0.5 * (dens + np.roll(dens, -1)), rtol=1e-14)
+
+    def test_density_read_out_refusals(self):
+        assert ps.InitialMeasure.uniform(2.0).density_at(0.3) == 2.0 / TWO_PI
+        for mu in (ps.InitialMeasure.delta([0.0], 0.01),
+                   ps.InitialMeasure.from_density(np.ones((4, 4)))):
+            with pytest.raises(DomainError, match="no bounded d = 1 density"):
+                mu.density_at(0.3)
+
     def test_value_equality_and_hash(self):
         a = ps.InitialMeasure.from_density(np.ones(4))
         b = ps.InitialMeasure.from_density(np.ones(4))
