@@ -57,8 +57,8 @@ def mc_moments(config, mu, p, n_samples, t_list, x_list, seed=0,
     the requested x (reported as ``x_grid``), with jackknife standard
     errors.
 
-    With ``n_chunks > 1`` the ensemble splits into fixed chunks on
-    disjoint noise streams, optionally run on a thread pool; the result
+    The ensemble splits into ``n_chunks`` fixed chunks on the noise
+    streams 0..n_chunks-1, optionally run on a thread pool; the result
     is bit-identical for any thread count because the chunk layout and
     the reduction order are fixed.
     """
@@ -67,21 +67,19 @@ def mc_moments(config, mu, p, n_samples, t_list, x_list, seed=0,
     if n_chunks < 1 or n_samples % n_chunks:
         raise DomainError("n_chunks must divide n_samples")
     per = n_samples // n_chunks
-    if n_chunks == 1:
-        times, fields = solve_ensemble(config, mu, seed, n_samples, t_list)
-    else:
+
+    def run(chunk):
+        return solve_ensemble(config, mu, seed, per, t_list, stream=chunk)
+
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        def run(chunk):
-            return solve_ensemble(config, mu, seed, per, t_list, stream=chunk)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(run, range(n_chunks)))
-        else:
-            parts = [run(c) for c in range(n_chunks)]
-        times = parts[0][0]
-        fields = np.concatenate([pr[1] for pr in parts], axis=1)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run, range(n_chunks)))
+    else:
+        parts = [run(c) for c in range(n_chunks)]
+    times = parts[0][0]
+    fields = np.concatenate([pr[1] for pr in parts], axis=1)
     pts = grid_points(config.grid_n, config.spec.d)
     out = []
     for t_req in np.atleast_1d(t_list):
@@ -110,9 +108,9 @@ def covariance_infimum(spec, n_grid=2048):
 
 def moment_bound_report(config, mu, n_samples, t_list, x, seed=0,
                         rho_suff=None, n_chunks=1, threads=1):
-    """Second-moment estimates against the p = 2 upper bound and, when the
-    noise level makes the covariance nonnegative (rho >= rho_sufficient*),
-    the exponential lower bound with eps = t.  Both bounds are evaluated at
+    """Second-moment estimates against the p = 2 upper bound and, when
+    rho >= ``rho_suff`` and the covariance infimum C_f is positive, the
+    exponential lower bound with eps = t.  Both bounds are evaluated at
     ``x_grid``, the grid point the estimate was read at."""
     spec = config.spec
     ests = mc_moments(config, mu, 2, n_samples, t_list, [x], seed=seed,
@@ -126,8 +124,8 @@ def moment_bound_report(config, mu, n_samples, t_list, x, seed=0,
             "std_err": est.std_err, "upper": upper,
             "upper_ok": est.value - 3.0 * est.std_err <= upper,
         }
-        if rho_suff is not None and spec.rho >= rho_suff:
-            c_f = covariance_infimum(spec)
+        if (rho_suff is not None and spec.rho >= rho_suff
+                and (c_f := covariance_infimum(spec)) > 0.0):
             j0v = float(j0(est.t, x_grid, mu, d=spec.d))
             lower = mc.lower_bound_second_moment(
                 est.t, est.t, c_f, mu.total_mass(spec.d), spec.lam, spec.d,
@@ -155,11 +153,6 @@ class ResolventTable:
     a_grid: np.ndarray
     q_grid: np.ndarray
     values: list
-    f_matrix: np.ndarray
-
-    @property
-    def n_max(self):
-        return len(self.values) - 1
 
 
 def _kernel_matrix(t, rows, cols):
@@ -247,7 +240,7 @@ def resolvent_Ln(spec, n_max, t_grid, a_grid_n=9, q_grid_n=33,
             levels[n - 1], fq[None, :, None, :], gq, dt, cell, propagate,
             end_lo if n == 1 else None))
     return ResolventTable(spec=spec, t_grid=t, a_grid=a_grid, q_grid=q_grid,
-                          values=levels, f_matrix=fq)
+                          values=levels)
 
 
 def resolvent_bound_fit(table):
@@ -340,9 +333,7 @@ def _interp_pair(matrix, q, x, x_prime):
 
 def _f_table(spec, kmax):
     xs = grid_points(8192, 1)[:, 0]
-    vals = covariance_truncated(spec, xs[:, None], kmax)
-    order = np.argsort(xs)
-    return xs[order], vals[order]
+    return xs, covariance_truncated(spec, xs[:, None], kmax)
 
 
 def _table_lookup(xs, vals, x):
@@ -492,8 +483,7 @@ def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0):
 def _structure_slope(lags, s2):
     x = np.log(np.asarray(lags, dtype=float))
     y = 0.5 * np.log(np.asarray(s2, dtype=float))
-    coef, cov = np.polyfit(x, y, 1, cov=True)
-    return float(coef[0]), float(np.sqrt(cov[0, 0]))
+    return float(np.polyfit(x, y, 1)[0])
 
 
 def empirical_holder(config, mu, seed, n_paths=24, t_window=(0.5, 1.0),
@@ -525,9 +515,9 @@ def empirical_holder(config, mu, seed, n_paths=24, t_window=(0.5, 1.0),
         for lag in space_lags:
             d = np.roll(u[path_slice], -lag, axis=-1) - u[path_slice]
             s2_s.append(np.mean(d * d))
-        b1, _ = _structure_slope(np.array(time_lags) * dt_out, s2_t)
+        b1 = _structure_slope(np.array(time_lags) * dt_out, s2_t)
         cell = TWO_PI / config.grid_n
-        b2, _ = _structure_slope(np.array(space_lags) * cell, s2_s)
+        b2 = _structure_slope(np.array(space_lags) * cell, s2_s)
         return b1, b2
 
     beta1, beta2 = slopes_for(slice(None))

@@ -45,12 +45,6 @@ class KernelConfig:
     tail_tol: float = 1e-15
     t_switch: float = TWO_PI
 
-    def __post_init__(self):
-        if not (0.0 < self.tail_tol < 1.0):
-            raise DomainError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
-        if self.t_switch <= 0.0:
-            raise DomainError(f"t_switch must be positive, got {self.t_switch}")
-
 
 DEFAULT_CONFIG = KernelConfig()
 

@@ -17,7 +17,6 @@ biases the exponential growth rate at O(dt).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -187,7 +186,7 @@ def riesz_gaussian_constant(d, alpha):
             lambda v: q * math.exp(-(v ** (2.0 * q)) / 2.0),
             0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=300)
         return c * omega * val
-    return 2.0**alpha * math.gamma(alpha) * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    return riesz_gaussian_constant_closed(d, alpha)
 
 
 def riesz_gaussian_constant_closed(d, alpha):
@@ -224,14 +223,6 @@ class HnTable:
     spec: NoiseSpec
     t_grid: np.ndarray
     values: np.ndarray
-
-    def to_json(self):
-        return json.dumps({
-            "spec": {"d": self.spec.d, "alpha": self.spec.alpha,
-                     "rho": self.spec.rho, "lambda": self.spec.lam},
-            "t_grid": self.t_grid.tolist(),
-            "values": self.values.tolist(),
-        })
 
     def write_csv(self, path):
         header = "t," + ",".join(f"h{n}" for n in range(self.values.shape[0]))
@@ -423,13 +414,6 @@ class GammaSolve:
     residual: float
     mode_cutoff: int
 
-    def to_json(self):
-        return json.dumps({
-            "lambda": self.lam, "gamma0": self.gamma0,
-            "theta_at_gamma0": self.theta_at_gamma0,
-            "residual": self.residual, "mode_cutoff": self.mode_cutoff,
-        })
-
 
 def theta_gamma(gamma, spec):
     """Laplace-side function whose unit level set defines gamma0.
@@ -503,8 +487,6 @@ def p_moment_upper(t, x, p, mu, spec):
 
     j0_val = j0_eval(t, x, mu, d=spec.d)
     lam_eff = 4.0 * abs(spec.lam) * math.sqrt(p)
-    if lam_eff == 0.0:
-        return math.sqrt(2.0) * j0_val
     try:
         h_val = H_lambda(spec, t, lam=lam_eff)
     except NumericsError:

@@ -102,26 +102,27 @@ class InitialMeasure:
 
 
 def j0(t, x, mu, d=None):
-    """Homogeneous solution J_0(t, x) = int G(t, x, y) mu(dy)."""
+    """Homogeneous solution J_0(t, x) = int G(t, x, y) mu(dy), one value per
+    point of x (a float for a single point)."""
     if t <= 0.0:
         raise DomainError("j0 requires t > 0")
     xa = as_coords(x)
     if d is None:
         d = xa.shape[-1]
     if mu.variant == "uniform":
-        return float(mu.mass) * TWO_PI ** (-d) * np.ones(np.shape(t))\
-            if np.ndim(t) else float(mu.mass) * TWO_PI ** (-d)
-    if mu.variant == "atoms":
-        total = 0.0
+        total = np.full(xa.shape[:-1], float(mu.mass) * TWO_PI ** (-d))
+    elif mu.variant == "atoms":
+        total = np.zeros(xa.shape[:-1])
         for pos, m in mu.atoms:
             total = total + m * heat_kernel(t, xa - np.asarray(pos))
-        return float(total) if np.ndim(total) == 0 else total
-    if mu.variant == "density":
+    elif mu.variant == "density":
         n = mu.density.shape[0]
         pts = grid_points(n, d)
         vals = heat_kernel(t, xa[..., None, :] - pts)
-        return np.sum(vals * mu.density.ravel(), axis=-1) * (TWO_PI / n) ** d
-    raise DomainError(f"unknown variant {mu.variant}")
+        total = np.sum(vals * mu.density.ravel(), axis=-1) * (TWO_PI / n) ** d
+    else:
+        raise DomainError(f"unknown variant {mu.variant}")
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def whole_steps(t, dt, t_name, dt_name):
@@ -181,9 +182,8 @@ def initial_field(config, mu):
     """Grid field at the stepping start time (mu.t0 or dt for atoms, else 0+).
 
     Uniform and density data start at their own values; atoms start from
-    the heat-smoothed kernel at that time."""
+    J_0 at that time."""
     n, d = config.grid_n, config.spec.d
-    pts = grid_points(n, d)
     shape = (n,) * d
     if mu.variant == "uniform":
         return np.full(shape, mu.mass * TWO_PI ** (-d)), 0.0
@@ -192,10 +192,7 @@ def initial_field(config, mu):
             raise DomainError("density grid must match solver grid")
         return mu.density.astype(float).copy(), 0.0
     t0 = mu.t0 or config.dt
-    vals = np.zeros(len(pts))
-    for pos, m in mu.atoms:
-        vals = vals + m * heat_kernel(t0, pts - np.asarray(pos))
-    return vals.reshape(shape), t0
+    return j0(t0, grid_points(n, d), mu, d=d).reshape(shape), t0
 
 
 def _march(config, mu, seed, n_paths, output_times, stream=0):

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from torpam import moment_calculus as mc
 from torpam.cli import COMMANDS, main
+from torpam.covariance import NoiseSpec
 
 
 def run(tmp_path, name, *argv):
@@ -30,6 +32,11 @@ class TestVerifyCommands:
         rep = json.loads((out / "gamma0.json").read_text())
         assert rep["residual"] < 1e-9
         assert rep["gamma0"] > 0
+        sol = mc.gamma0(2.0, NoiseSpec(d=1, alpha=0.3, rho=1.0, lam=2.0))
+        assert rep == {"lambda": sol.lam, "gamma0": sol.gamma0,
+                       "theta_at_gamma0": sol.theta_at_gamma0,
+                       "residual": sol.residual,
+                       "mode_cutoff": sol.mode_cutoff, "pass": True}
 
     def test_cov_eval(self, tmp_path, capsys):
         code, out = run(tmp_path, "ce", "cov-eval", "--alpha", "0.3",

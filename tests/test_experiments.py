@@ -10,8 +10,8 @@ from torpam import moment_calculus as mc
 from torpam.covariance import NoiseSpec
 from torpam.errors import DomainError
 from torpam.heat_kernel import TWO_PI, signed_mod
-from torpam.noise_field import step_rng
-from torpam.pam_solver import InitialMeasure, SolverConfig, j0
+from torpam.noise_field import grid_points, step_rng
+from torpam.pam_solver import InitialMeasure, SolverConfig, j0, solve_ensemble
 
 
 def solver_config(spec, **kw):
@@ -58,6 +58,20 @@ class TestMcMoments:
         assert est.x == (0.1,)
         assert est.x_grid == pytest.approx((TWO_PI / 22,), rel=1e-15)
 
+    def test_one_chunk_is_the_direct_ensemble(self, spec_d1):
+        cfg = solver_config(spec_d1, grid_n=16, mode_k=4, dt=0.02,
+                            t_final=0.2)
+        mu = InitialMeasure.uniform(1.0)
+        ests = ex.mc_moments(cfg, mu, 2, 12, [0.1, 0.2], [[0.0]], seed=5,
+                             n_chunks=1)
+        times, fields = solve_ensemble(cfg, mu, 5, 12, [0.1, 0.2])
+        xi = int(np.argmin(np.abs(grid_points(16, 1)[:, 0])))
+        assert len(ests) == 2
+        for est, t, u in zip(ests, times, fields):
+            sq = u[:, xi] ** 2
+            assert (est.t, est.value, est.std_err) == (
+                t, np.mean(sq), ex.jackknife_se(sq))
+
     def test_chunking_is_scheduling_invariant(self, spec_d1):
         cfg = solver_config(spec_d1, grid_n=16, mode_k=4, dt=0.02,
                             t_final=0.1)
@@ -91,6 +105,19 @@ class TestMcMoments:
         assert row["lower"] == mc.lower_bound_second_moment(
             t, t, ex.covariance_infimum(spec), 1.0, 1.0, 1,
             j0_val=float(j0(t, x_grid, mu)))
+
+    def test_no_lower_bound_below_zero_covariance(self, spec_d1):
+        # alpha 0.3, rho 1: the covariance dips below zero (C_f ~ -0.039),
+        # so rho >= rho_suff = 0.5 alone does not make the lower bound hold
+        assert ex.covariance_infimum(spec_d1) < 0.0
+        cfg = solver_config(spec_d1, grid_n=16, mode_k=4, dt=0.02,
+                            t_final=0.1)
+        rows = ex.moment_bound_report(cfg, InitialMeasure.uniform(1.0), 8,
+                                      [0.04, 0.1], [0.0], rho_suff=0.5)
+        assert len(rows) == 2
+        for row in rows:
+            assert "lower" not in row and "lower_ok" not in row
+            assert row["upper_ok"]
 
     def test_covariance_infimum_is_d1_only(self):
         c_f = ex.covariance_infimum(NoiseSpec(d=1, alpha=0.3, rho=5.0),
@@ -295,6 +322,12 @@ def reference_pair_walk(spec, kmax, x0, n_paths, n_steps, dt_bm, rng):
 
 
 class TestBlockedPairWalk:
+    def test_table_nodes_increase(self, spec_d1):
+        # np.interp needs increasing nodes
+        xs, vals = ex._f_table(spec_d1, 16)
+        assert xs.shape == vals.shape == (8192,)
+        assert np.all(np.diff(xs) > 0.0)
+
     def test_block_draw_equals_step_draws(self):
         block = np.empty((7, 2, 30))
         step_rng(5, 0, stream=2).standard_normal(out=block)

@@ -47,14 +47,6 @@ class TestTorusPoint:
         assert float(hk.heat_kernel(1.0, p)) == float(hk.heat_kernel(1.0, [0.7]))
 
 
-class TestKernelConfig:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            hk.KernelConfig(tail_tol=0.0)
-        with pytest.raises(DomainError):
-            hk.KernelConfig(t_switch=-1.0)
-
-
 class TestTorusDistance:
     def test_wraparound(self):
         assert hk.torus_distance([PI - 0.1], [-PI + 0.1]) == pytest.approx(0.2, abs=1e-12)

@@ -95,6 +95,37 @@ class TestJ0:
         with pytest.raises(DomainError):
             ps.j0(0.0, [0.1], ps.InitialMeasure.uniform())
 
+    @pytest.mark.parametrize("mu", [
+        ps.InitialMeasure.uniform(2.0),
+        ps.InitialMeasure.point_atoms([([0.2], 0.5), ([-1.0], 2.0)]),
+        ps.InitialMeasure.from_density(np.linspace(0.5, 1.5, 16))])
+    def test_one_value_per_point(self, mu):
+        pts = [[0.1], [0.2], [-2.5]]
+        vals = ps.j0(1.0, pts, mu)
+        assert np.shape(vals) == (3,)
+        assert vals.tolist() == [ps.j0(1.0, p, mu) for p in pts]
+
+
+class TestInitialField:
+    cfg = ps.SolverConfig(spec=NoiseSpec(d=2, alpha=0.8, rho=1.0, lam=1.0),
+                          grid_n=16, mode_k=5, dt=0.01, t_final=0.1)
+
+    @pytest.mark.parametrize("t0", [0.0, 0.05])
+    def test_atoms_start_from_j0(self, t0):
+        mu = ps.InitialMeasure(variant="atoms", t0=t0,
+                               atoms=(((0.3, -1.0), 0.5), ((2.0, 0.1), 1.5)))
+        u0, t_start = ps.initial_field(self.cfg, mu)
+        assert t_start == (t0 or self.cfg.dt)
+        expected = ps.j0(t_start, grid_points(16, 2), mu).reshape(16, 16)
+        assert u0.shape == (16, 16)
+        assert np.array_equal(u0, expected)
+
+    def test_no_atoms_start_from_zero(self):
+        u0, t_start = ps.initial_field(self.cfg, ps.InitialMeasure.point_atoms([]))
+        assert t_start == self.cfg.dt
+        assert u0.shape == (16, 16)
+        assert not u0.any()
+
 
 class TestConfig:
     def test_dealias_grid_requirement(self):
