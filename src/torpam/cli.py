@@ -122,19 +122,6 @@ def _floats(text):
             f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _choice(choices):
-    """argparse type of a choice flag.  argparse checks ``choices`` only on
-    command-line values, but passes a string default (a ``--config``
-    value) through ``type``, so this refuses a bad config value too."""
-    def check(text):
-        if text not in choices:
-            raise argparse.ArgumentTypeError(
-                f"invalid choice: {text!r} (choose from "
-                f"{', '.join(map(repr, choices))})")
-        return text
-    return check
-
-
 def _spec_from(args):
     if args.alpha is None:
         raise DomainError("alpha must be given by flag or config file")
@@ -242,8 +229,7 @@ def _cov_rho_star(a, spec, out):
           "noise_sample.json", run=("seed", "format"))
 def _noise_sample(a, spec, out):
     inc = nf.sample_increment(spec, a.kmax, a.dt, a.grid_n, a.seed)
-    nf.write_field_binary(os.path.join(out, "increment.bin"), inc.values,
-                          a.dt, a.seed)
+    np.save(os.path.join(out, "increment.npy"), inc.values)
     if a.format == "csv":
         nf.write_field_csv(os.path.join(out, "increment.csv"), inc.values)
     return {"grid_n": a.grid_n, "dt": a.dt,
@@ -317,8 +303,7 @@ def _simulate(a, spec, out):
                           dt=a.dt, t_final=a.t_final)
     traj = solve(config, _measure_from(a), a.seed, output_times=a.t_out)
     for i, field in enumerate(traj.fields):
-        nf.write_field_binary(os.path.join(out, f"field_{i:04d}.bin"),
-                              field, a.dt, a.seed)
+        np.save(os.path.join(out, f"field_{i:04d}.npy"), field)
         if a.format == "csv":
             nf.write_field_csv(os.path.join(out, f"field_{i:04d}.csv"), field)
     _write_csv(out, "trajectory_times.csv", ["index", "t"],
@@ -404,32 +389,30 @@ def _holder(a, spec, out):
 # --------------------------------------------------------------------------
 
 
-def build_parser(config=None):
-    """The ``torpam`` parser.  ``config`` maps flag names (``-`` as ``_``)
-    to values; each subcommand takes those of its own flags as defaults."""
-    config = config or {}
+def build_parser():
+    """The ``torpam`` parser: one subparser per entry of ``COMMANDS``."""
     parser = _Parser(prog="torpam")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS.values():
         p = sub.add_parser(cmd.name)
         run_flags = [(flag, *RUN_FLAGS[flag]) for flag in cmd.run]
         for name, kind, default in cmd.flags + run_flags:
-            default = config.get(name.replace("-", "_"), default)
             choices = kind if isinstance(kind, tuple) else None
-            p.add_argument(f"--{name}",
-                           type=_choice(choices) if choices else kind,
+            p.add_argument(f"--{name}", type=None if choices else kind,
                            choices=choices, required=default is REQUIRED,
                            default=None if default is REQUIRED else default,
                            help="comma-separated numbers"
                            if kind is _floats else None)
-        p.add_argument("--out", default=config.get("out", "torpam_out"))
+        p.add_argument("--out", default="torpam_out")
         p.add_argument("--config", help="JSON object of flag values, as in "
                        "manifest.json; flags given on the command line win")
         p.set_defaults(cmd=cmd)
     return parser
 
 
-def _load_config(parser, path):
+def _config_flags(parser, path, cmd):
+    """The ``--flag=value`` tokens of a ``--config`` file: one per key
+    (``-`` or ``_``) naming a flag, run flag or ``--out`` of ``cmd``."""
     with open(path) as fh:
         try:
             loaded = json.load(fh)
@@ -438,11 +421,12 @@ def _load_config(parser, path):
     if not isinstance(loaded, dict):
         parser.error(f"--config {path}: expected a JSON object of flag "
                      f"values, got {type(loaded).__name__}")
-    # values are parsed from their command-line text, so a value of the
-    # wrong type is a usage error; null leaves the flag at its default
-    return {key.replace("-", "_"):
+    # null leaves a flag at its default; a list is joined with commas
+    text = {key.replace("_", "-"):
             ",".join(map(str, value)) if isinstance(value, list) else str(value)
             for key, value in loaded.items() if value is not None}
+    names = [name for name, _, _ in cmd.flags] + [*cmd.run, "out"]
+    return [f"--{name}={text[name]}" for name in names if name in text]
 
 
 def _run(args):
@@ -460,14 +444,16 @@ def _run(args):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    # --config is read first: its values become the defaults that the
-    # flags given on the command line override
+    # a --config file's flags go right after the subcommand, so argparse
+    # types and checks them, and the command line's own flags win
     pre = _Parser(prog="torpam", add_help=False)
     pre.add_argument("--config")
     try:
         path = pre.parse_known_args(argv)[0].config
-        config = _load_config(pre, path) if path else None
-        return _run(build_parser(config).parse_args(argv))
+        if path and argv[0] in COMMANDS:
+            argv = [argv[0], *_config_flags(pre, path, COMMANDS[argv[0]]),
+                    *argv[1:]]
+        return _run(build_parser().parse_args(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except (DomainError, NumericsError, OSError) as exc:

@@ -13,7 +13,6 @@ scheduling or worker count.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -24,8 +23,6 @@ from .covariance import covariance_truncated
 from .errors import AliasingError, DomainError
 from .heat_kernel import TWO_PI
 from .lattice import cube_points, lattice_vectors
-
-BINARY_MAGIC = b"TPNF"
 
 
 def step_rng(seed, step, stream=0):
@@ -249,42 +246,7 @@ def empirical_covariance(spec, dt, grid_n, n_samples, seed):
 
 
 # ---------------------------------------------------------------------------
-# field export: CSV (row-major) and a small binary format
-# header: magic, version u16, d u16, N u32, dt f64, seed u64; payload f64 LE
-
-
-def write_field_binary(path, field, dt, seed):
-    field = np.asarray(field, dtype="<f8")
-    d = field.ndim
-    n = field.shape[0]
-    if field.shape != (n,) * d:
-        raise DomainError("field must be a square N^d array")
-    with open(path, "wb") as fh:
-        fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<HHId Q", 1, d, n, float(dt), int(seed)))
-        fh.write(field.tobytes(order="C"))
-
-
-def _read_exact(fh, n_bytes, what):
-    data = fh.read(n_bytes)
-    if len(data) != n_bytes:
-        raise DomainError(f"truncated field file: {what} needs {n_bytes} "
-                          f"bytes, found {len(data)}")
-    return data
-
-
-def read_field_binary(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BINARY_MAGIC:
-            raise DomainError(f"bad magic {magic!r}")
-        header = _read_exact(fh, struct.calcsize("<HHId Q"), "header")
-        version, d, n, dt, seed = struct.unpack("<HHId Q", header)
-        if version != 1:
-            raise DomainError(f"unsupported version {version}")
-        payload = np.frombuffer(_read_exact(fh, 8 * n**d, "payload"),
-                                dtype="<f8").reshape((n,) * d)
-    return payload.copy(), {"d": d, "grid_n": n, "dt": dt, "seed": seed}
+# field export: CSV (row-major)
 
 
 def write_field_csv(path, field):

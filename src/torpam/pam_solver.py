@@ -103,7 +103,9 @@ class InitialMeasure:
 
 def j0(t, x, mu, d=None):
     """Homogeneous solution J_0(t, x) = int G(t, x, y) mu(dy), one value per
-    point of x (a float for a single point)."""
+    point of x (a float for a single point), at one time t."""
+    if np.ndim(t) != 0:
+        raise DomainError(f"j0 takes one time t, got shape {np.shape(t)}")
     if t <= 0.0:
         raise DomainError("j0 requires t > 0")
     xa = as_coords(x)
@@ -247,12 +249,13 @@ def _output_mask(config, t_start, output_times):
     if output_times is None:
         return np.ones(n + 1, dtype=bool)
     mask = np.zeros(n + 1, dtype=bool)
-    grid = t_start + config.dt * np.arange(n + 1)
+    dt, t_end = config.dt, t_start + n * config.dt
     for t in np.atleast_1d(output_times):
-        if not grid[0] - config.dt / 2 <= t <= grid[-1] + config.dt / 2:
+        if not t_start - dt / 2 <= t <= t_end + dt / 2:
             raise DomainError(f"output time {t:g} lies outside the march "
-                              f"[{grid[0]:g}, {grid[-1]:g}]")
-        mask[int(np.argmin(np.abs(grid - t)))] = True
+                              f"[{t_start:g}, {t_end:g}]")
+        mask[whole_steps(t - t_start, dt, f"output time {t:g} less the "
+                         f"march start {t_start:g}", "dt")] = True
     return mask
 
 

@@ -2,11 +2,14 @@ import filecmp
 import json
 import os
 
+import numpy as np
 import pytest
 
 from torpam import moment_calculus as mc
 from torpam.cli import COMMANDS, main
 from torpam.covariance import NoiseSpec
+from torpam.noise_field import sample_increment
+from torpam.pam_solver import InitialMeasure, SolverConfig, solve
 
 
 def run(tmp_path, name, *argv):
@@ -118,20 +121,43 @@ class TestConfigPrecedence:
         assert manifest["parameters"]["alpha"] == 0.45
         assert manifest["parameters"]["rho"] == 2.0
 
+    def test_negative_list_value(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"alpha": 0.3, "x": [-1.0]}))
+        code, out = run(tmp_path, "neg", "cov-eval", "--config", str(conf))
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["x"] == [-1.0]
+
+    def test_keys_without_a_flag_are_ignored(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"t": 1.0, "x": [0.5], "seed": 3,
+                                    "alpha": 0.3}))
+        argv = ["kernel-eval", "--config", str(conf)]
+        assert main(argv + ["--out", str(tmp_path / "k")]) == 0
+        assert argv == ["kernel-eval", "--config", str(conf)]
+        manifest = json.loads((tmp_path / "k" / "manifest.json").read_text())
+        assert "seed" not in manifest
+        assert manifest["parameters"] == {"d": 1, "t": 1.0, "x": [0.5]}
+
 
 class TestArtifacts:
     def test_simulate_fields_readable(self, tmp_path, capsys):
-        from torpam.noise_field import read_field_binary
-
         _, out = run(tmp_path, "sim", "simulate", "--alpha", "0.3", "--rho",
                      "1", "--lambda", "1", "--t-final", "0.04", "--dt",
                      "0.01", "--grid-n", "16", "--mode-k", "5", "--seed",
                      "7", "--t-out", "0.02,0.04")
-        fields = sorted(p for p in os.listdir(out) if p.endswith(".bin"))
-        assert len(fields) == 2
-        data, meta = read_field_binary(out / fields[0])
-        assert data.shape == (16,)
-        assert meta["seed"] == 7
+        fields = sorted(p for p in os.listdir(out) if p.endswith(".npy"))
+        assert fields == ["field_0000.npy", "field_0001.npy"]
+        config = SolverConfig(spec=NoiseSpec(d=1, alpha=0.3, rho=1.0,
+                                             lam=1.0),
+                              grid_n=16, mode_k=5, dt=0.01, t_final=0.04)
+        traj = solve(config, InitialMeasure.uniform(1.0), 7,
+                     output_times=[0.02, 0.04])
+        for name, field in zip(fields, traj.fields):
+            data = np.load(out / name)
+            assert data.dtype == field.dtype and data.shape == (16,)
+            assert data.tobytes() == field.tobytes()
 
     def test_noise_sample_csv(self, tmp_path, capsys):
         code, out = run(tmp_path, "ns", "noise-sample", "--alpha", "0.3",
@@ -139,7 +165,10 @@ class TestArtifacts:
                         "--format", "csv")
         assert code == 0
         assert (out / "increment.csv").exists()
-        assert (out / "increment.bin").exists()
+        inc = sample_increment(NoiseSpec(d=1, alpha=0.3, rho=1.0), 16, 0.01,
+                               33, 0)
+        assert np.load(out / "increment.npy").tobytes() == \
+            inc.values.tobytes()
 
 
 S = ["--alpha", "0.3", "--rho", "1"]
@@ -152,7 +181,7 @@ SMOKE = {
     "cov-eval": (S + ["--x", "1.0", "--kmax", "8"], {"cov_eval.json"}),
     "cov-rho-star": (["--alpha", "0.3"], {"rho_star.json"}),
     "noise-sample": (S + ["--grid-n", "16", "--kmax", "5", "--format", "csv"],
-                     {"noise_sample.json", "increment.bin", "increment.csv"}),
+                     {"noise_sample.json", "increment.npy", "increment.csv"}),
     "noise-verify": (S + ["--grid-n", "9", "--n-samples", "1000"],
                      {"noise_verify.json"}),
     "moments-table": (S + ["--n-max", "2", "--t-max", "1", "--n-t", "5"],
@@ -162,7 +191,7 @@ SMOKE = {
     "simulate": (S + SOLVER + ["--t-final", "0.02", "--format", "csv"],
                  {"simulate.json", "trajectory_times.csv"}
                  | {f"field_000{i}.{ext}" for i in range(3)
-                    for ext in ("bin", "csv")}),
+                    for ext in ("npy", "csv")}),
     "mc-moments": (S + SOLVER + ["--t-list", "0.02", "--n-samples", "8",
                                  "--threads", "1"],
                    {"mc_moments.json", "mc_moments.csv"}),

@@ -95,6 +95,10 @@ class TestJ0:
         with pytest.raises(DomainError):
             ps.j0(0.0, [0.1], ps.InitialMeasure.uniform())
 
+    def test_rejects_more_than_one_time(self):
+        with pytest.raises(DomainError, match="j0 takes one time"):
+            ps.j0(np.array([0.5, 1.0]), [0.1], ps.InitialMeasure.uniform())
+
     @pytest.mark.parametrize("mu", [
         ps.InitialMeasure.uniform(2.0),
         ps.InitialMeasure.point_atoms([([0.2], 0.5), ([-1.0], 2.0)]),
@@ -254,7 +258,9 @@ class TestStochasticProperties:
 class TestSingleEqualsEnsemble:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("variant", ["uniform", "delta"])
-    @pytest.mark.parametrize("output_times", [None, [0.1, 0.3]])
+    # times on the steps of each march: 0.02 k, and 0.05 + 0.02 k for delta
+    @pytest.mark.parametrize("output_times", [
+        None, {"uniform": [0.1, 0.3], "delta": [0.09, 0.29]}])
     def test_solve_is_one_path_ensemble(self, d, variant, output_times):
         spec = NoiseSpec(d=d, alpha=0.3 if d == 1 else 0.8, rho=1.0, lam=1.0)
         n, k = (32, 8) if d == 1 else (16, 5)
@@ -262,6 +268,7 @@ class TestSingleEqualsEnsemble:
                               t_final=0.4)
         mu = (ps.InitialMeasure.uniform(1.0) if variant == "uniform"
               else ps.InitialMeasure.delta([0.3] * d, 0.05))
+        output_times = output_times and output_times[variant]
         traj = ps.solve(cfg, mu, seed=5, output_times=output_times)
         times, fields = ps.solve_ensemble(cfg, mu, seed=5, n_paths=1,
                                           output_times=output_times)
@@ -321,7 +328,17 @@ class TestOutputTimes:
             ps.solve_ensemble(self.cfg, mu, seed=0, n_paths=2,
                               output_times=[0.0])
 
-    def test_within_half_a_step_snaps(self):
-        traj = ps.solve(self.cfg, ps.InitialMeasure.uniform(1.0), seed=0,
-                        output_times=[-0.0049, 0.1049])
-        assert np.allclose(traj.times, [0.0, 0.1])
+    @pytest.mark.parametrize("t_out, start", [(-0.0049, 0.0), (0.1049, 0.0),
+                                              (0.0749, 0.05)])
+    def test_within_half_a_step_is_refused(self, t_out, start):
+        mu = (ps.InitialMeasure.delta([0.0], start) if start
+              else ps.InitialMeasure.uniform(1.0))
+        with pytest.raises(DomainError, match=(
+                f"output time {t_out:g} less the march start {start:g} = .* "
+                "is not a whole number of steps dt = 0.01")):
+            ps.solve(self.cfg, mu, seed=0, output_times=[t_out])
+
+    def test_time_on_a_step_is_read_there(self):
+        mu = ps.InitialMeasure.delta([0.0], 0.05)
+        traj = ps.solve(self.cfg, mu, seed=0, output_times=[0.05, 0.08, 0.15])
+        assert traj.times.tolist() == [0.05, 0.05 + 3 * 0.01, 0.05 + 10 * 0.01]
