@@ -4,10 +4,11 @@ experiment matrix.
 
 Every subcommand is one entry of the command table ``COMMANDS``: its
 flags, the run flags it reads, its report file and a compute function.
-One run sequence serves them all: it writes a ``manifest.json`` (command,
-every flag value, seed, package version -- no timestamps, so identical
-invocations produce byte-identical artifacts), computes, and writes the
-report.  A manifest's ``parameters`` plus its ``seed`` replay the run as a
+One run sequence serves them all: it computes, and only then writes
+every file of the run in one place: a ``manifest.json`` (command, every
+flag value, seed, package version -- no timestamps, so identical
+invocations produce byte-identical artifacts), the report and any further
+artifact.  A run refused on the way writes nothing.  A manifest's ``parameters`` plus its ``seed`` replay the run as a
 ``--config`` file.  Exit codes: 0 success, 1 usage or domain error, 2
 verification failure (some ``pass`` flag came back false).
 """
@@ -43,27 +44,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _write_manifest(out_dir, command, params, seed=None):
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {
-        "tool": "torpam", "version": __version__,
-        "command": command, "parameters": params,
-    }
-    if seed is not None:
-        manifest["seed"] = int(seed)
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
-
-
-def _write_json(out_dir, name, payload):
-    with open(os.path.join(out_dir, name), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
-        fh.write("\n")
-
-
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -74,43 +54,48 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def _write_csv(out_dir, name, header, rows):
-    """One CSV line per dict in ``rows``, its values in ``header`` order."""
-    with open(os.path.join(out_dir, name), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{row[k]:.17g}" if isinstance(row[k], float)
-                             else row[k] for k in header])
+def _write(out_dir, files):
+    """Write every file of a finished run, in the format its extension
+    names: ``.npy`` an array, ``.csv`` a list of rows (``\n``-terminated,
+    floats as ``%.17g``), anything else JSON."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, content in files.items():
+        path = os.path.join(out_dir, name)
+        if name.endswith(".npy"):
+            np.save(path, content)
+        elif name.endswith(".csv"):
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(
+                    [f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                    for row in content)
+        else:
+            with open(path, "w") as fh:
+                json.dump(content, fh, indent=2, sort_keys=True,
+                          default=_jsonable)
+                fh.write("\n")
+
+
+def _table(header, rows):
+    """CSV rows: the header, then each dict's values in header order."""
+    return [header] + [[row[k] for k in header] for row in rows]
+
+
+def _passes(obj):
+    """Every pass flag in a report, depth first."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            if k in ("pass", "upper_ok", "lower_ok") and isinstance(v, (bool, np.bool_)):
+                yield bool(v)
+            else:
+                yield from _passes(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _passes(v)
 
 
 def _finish(report):
     print(json.dumps(report, indent=2, sort_keys=True, default=_jsonable))
-    all_pass = _collect_passes(report)
-    if all_pass is False:
-        return VERIFY_FAIL
-    return 0
-
-
-def _collect_passes(obj):
-    """None if no pass flags anywhere; else the conjunction of all flags."""
-    found = []
-
-    def walk(o):
-        if isinstance(o, dict):
-            for k, v in o.items():
-                if k in ("pass", "upper_ok", "lower_ok") and isinstance(v, (bool, np.bool_)):
-                    found.append(bool(v))
-                else:
-                    walk(v)
-        elif isinstance(o, (list, tuple)):
-            for v in o:
-                walk(v)
-
-    walk(obj)
-    if not found:
-        return None
-    return all(found)
+    return 0 if all(_passes(report)) else VERIFY_FAIL
 
 
 def _floats(text):
@@ -123,8 +108,6 @@ def _floats(text):
 
 
 def _spec_from(args):
-    if args.alpha is None:
-        raise DomainError("alpha must be given by flag or config file")
     return NoiseSpec(d=args.d, alpha=args.alpha, rho=getattr(args, "rho", 0.0),
                      lam=getattr(args, "lambda", 1.0))
 
@@ -153,12 +136,13 @@ class Command(NamedTuple):
     run: tuple
     # report file written to --out
     report: str
-    # (args, spec, out) -> report; writes any further artifacts to out
+    # (args, spec, files) -> report; puts any further artifact into files
+    # (file name -> array for .npy, list of rows for .csv)
     compute: Callable
 
 
 REQUIRED = object()
-SPEC = [("d", int, 1), ("alpha", float, None), ("rho", float, 0.0)]
+SPEC = [("d", int, 1), ("alpha", float, REQUIRED), ("rho", float, 0.0)]
 LAMBDA = [("lambda", float, 1.0)]
 # run flags steer how a run is made and are kept out of the manifest's
 # parameters (the seed is recorded top-level)
@@ -180,7 +164,7 @@ def _command(name, flags, report, run=()):
 
 @_command("kernel-eval", [("d", int, 1), ("t", float, REQUIRED),
                           ("x", _floats, REQUIRED)], "kernel_eval.json")
-def _kernel_eval(a, spec, out):
+def _kernel_eval(a, spec, files):
     if len(a.x) != a.d:
         raise DomainError(f"--x has {len(a.x)} coordinates, --d is {a.d}")
     return {"G": float(heat_kernel(a.t, a.x)), "C_t": float(theta_c(a.t)),
@@ -190,7 +174,7 @@ def _kernel_eval(a, spec, out):
 @_command("kernel-verify", [("d", int, 1), ("t-list", _floats, "0.1,1,10"),
                             ("n-samples", int, 2000)],
           "kernel_verify.json", run=("seed",))
-def _kernel_verify(a, spec, out):
+def _kernel_verify(a, spec, files):
     rng = np.random.default_rng(a.seed)
     rows = []
     for t in a.t_list:
@@ -202,23 +186,23 @@ def _kernel_verify(a, spec, out):
             "ratio_max": float(np.max(rep["ratio"])),
             "lower": float(rep["lower"]), "upper": float(rep["upper"]),
         })
-    _write_csv(out, "kernel_verify.csv",
-               ["t", "pass", "ratio_min", "ratio_max", "lower", "upper"], rows)
+    files["kernel_verify.csv"] = _table(
+        ["t", "pass", "ratio_min", "ratio_max", "lower", "upper"], rows)
     return {"sandwich": rows}
 
 
 @_command("cov-eval", SPEC + [("x", _floats, REQUIRED), ("kmax", int, None)],
           "cov_eval.json")
-def _cov_eval(a, spec, out):
+def _cov_eval(a, spec, files):
     spectral, tail = covariance_eval(spec, a.x, kmax=a.kmax, full_output=True)
     integral = covariance_eval_integral(spec, a.x)
     return {"spectral": spectral, "tail_bound": tail, "integral": integral,
             "abs_difference": abs(spectral - integral)}
 
 
-@_command("cov-rho-star", [("d", int, 1), ("alpha", float, None)],
+@_command("cov-rho-star", [("d", int, 1), ("alpha", float, REQUIRED)],
           "rho_star.json")
-def _cov_rho_star(a, spec, out):
+def _cov_rho_star(a, spec, files):
     report = rho_star(a.alpha, a.d)
     report["pass"] = report["rho_star_est"] <= report["rho_sufficient"] + 1e-9
     return report
@@ -227,11 +211,11 @@ def _cov_rho_star(a, spec, out):
 @_command("noise-sample", SPEC + [("kmax", int, 16), ("grid-n", int, 64),
                                   ("dt", float, 0.01)],
           "noise_sample.json", run=("seed", "format"))
-def _noise_sample(a, spec, out):
+def _noise_sample(a, spec, files):
     inc = nf.sample_increment(spec, a.kmax, a.dt, a.grid_n, a.seed)
-    np.save(os.path.join(out, "increment.npy"), inc.values)
+    files["increment.npy"] = inc.values
     if a.format == "csv":
-        nf.write_field_csv(os.path.join(out, "increment.csv"), inc.values)
+        files["increment.csv"] = inc.values.reshape(a.grid_n, -1)
     return {"grid_n": a.grid_n, "dt": a.dt,
             "field_min": float(np.min(inc.values)),
             "field_max": float(np.max(inc.values))}
@@ -240,7 +224,7 @@ def _noise_sample(a, spec, out):
 @_command("noise-verify", SPEC + [("grid-n", int, 33), ("dt", float, 0.1),
                                   ("n-samples", int, 10_000)],
           "noise_verify.json", run=("seed",))
-def _noise_verify(a, spec, out):
+def _noise_verify(a, spec, files):
     rep = nf.empirical_covariance(spec, a.dt, a.grid_n, a.n_samples, a.seed)
     return {"worst_se_units": rep["worst_se_units"],
             "max_abs_deviation": rep["max_abs_deviation"],
@@ -250,16 +234,18 @@ def _noise_verify(a, spec, out):
 @_command("moments-table", SPEC + LAMBDA + [
     ("n-max", int, 6), ("t-max", float, 5.0), ("n-t", int, 251)],
     "moments_table.json")
-def _moments_table(a, spec, out):
+def _moments_table(a, spec, files):
     table = mc.hn_table(spec, a.n_max, np.linspace(0.0, a.t_max, a.n_t))
-    table.write_csv(os.path.join(out, "hn_table.csv"))
+    files["hn_table.csv"] = [
+        ["t", *(f"h{n}" for n in range(len(table.values)))],
+        *np.column_stack([table.t_grid, table.values.T])]
     nondecreasing = bool(all(np.all(np.diff(r) >= -1e-12) for r in table.values))
     return {"H_lambda_at_t_max": mc.H_lambda(spec, a.t_max),
             "rows_nondecreasing": nondecreasing, "pass": nondecreasing}
 
 
 @_command("gamma0", SPEC + LAMBDA, "gamma0.json")
-def _gamma0(a, spec, out):
+def _gamma0(a, spec, files):
     sol = mc.gamma0(spec.lam, spec)
     return {"lambda": sol.lam, "gamma0": sol.gamma0,
             "theta_at_gamma0": sol.theta_at_gamma0,
@@ -270,7 +256,7 @@ def _gamma0(a, spec, out):
 @_command("bridge-verify", [("d", int, 1), ("eps", float, 1.0),
                             ("n-samples", int, 10_000)],
           "bridge_verify.json", run=("seed",))
-def _bridge_verify(a, spec, out):
+def _bridge_verify(a, spec, files):
     sweeps = []
     for t_factor in (2.0, 10.0):
         rep = br.check_large_time_bound(a.eps, t_factor * a.eps, d=a.d,
@@ -298,16 +284,16 @@ def _bridge_verify(a, spec, out):
     ("grid-n", int, 64), ("mode-k", int, 16), ("dt", float, 1 / 256),
     ("t-final", float, 1.0), ("t-out", _floats, None)]
     + _mu("uniform", "delta"), "simulate.json", run=("seed", "format"))
-def _simulate(a, spec, out):
+def _simulate(a, spec, files):
     config = SolverConfig(spec=spec, grid_n=a.grid_n, mode_k=a.mode_k,
                           dt=a.dt, t_final=a.t_final)
     traj = solve(config, _measure_from(a), a.seed, output_times=a.t_out)
     for i, field in enumerate(traj.fields):
-        np.save(os.path.join(out, f"field_{i:04d}.npy"), field)
+        files[f"field_{i:04d}.npy"] = field
         if a.format == "csv":
-            nf.write_field_csv(os.path.join(out, f"field_{i:04d}.csv"), field)
-    _write_csv(out, "trajectory_times.csv", ["index", "t"],
-               [{"index": i, "t": float(t)} for i, t in enumerate(traj.times)])
+            files[f"field_{i:04d}.csv"] = field.reshape(a.grid_n, -1)
+    files["trajectory_times.csv"] = [
+        ["index", "t"], *([i, float(t)] for i, t in enumerate(traj.times))]
     return {"n_outputs": len(traj.times),
             "positivity_violations": traj.positivity_violations}
 
@@ -316,22 +302,22 @@ def _simulate(a, spec, out):
     ("grid-n", int, 64), ("mode-k", int, 16), ("dt", float, 1 / 256),
     ("t-list", _floats, "0.5,1.0"), ("n-samples", int, 4000)]
     + _mu("uniform", "delta"), "mc_moments.json", run=("seed", "threads"))
-def _mc_moments(a, spec, out):
+def _mc_moments(a, spec, files):
     config = SolverConfig(spec=spec, grid_n=a.grid_n, mode_k=a.mode_k,
                           dt=a.dt, t_final=max(a.t_list))
     n_chunks = 8 if a.n_samples % 8 == 0 else 1
     rows = ex.moment_bound_report(config, _measure_from(a), a.n_samples,
                                   a.t_list, [0.0] * a.d, seed=a.seed,
                                   n_chunks=n_chunks, threads=a.threads)
-    _write_csv(out, "mc_moments.csv",
-               ["t", "value", "std_err", "upper", "upper_ok"], rows)
+    files["mc_moments.csv"] = _table(
+        ["t", "value", "std_err", "upper", "upper_ok"], rows)
     return {"rows": rows}
 
 
 @_command("two-point", SPEC + LAMBDA + [
     ("t", float, 1.0), ("x", float, 0.0), ("x2", float, 0.0),
     ("n-max", int, 3)] + _mu("uniform"), "two_point.json")
-def _two_point(a, spec, out):
+def _two_point(a, spec, files):
     return ex.two_point(spec, _measure_from(a), a.t, [a.x], [a.x2],
                         n_max=a.n_max)
 
@@ -339,7 +325,7 @@ def _two_point(a, spec, out):
 @_command("resolvent", SPEC + [("n-max", int, 2), ("t-max", float, 1.0),
                                ("n-t", int, 21), ("q-grid-n", int, 33)],
           "resolvent.json")
-def _resolvent(a, spec, out):
+def _resolvent(a, spec, files):
     table = ex.resolvent_Ln(spec, a.n_max, np.linspace(0.0, a.t_max, a.n_t),
                             q_grid_n=a.q_grid_n)
     fits = ex.resolvent_bound_fit(table)
@@ -350,7 +336,7 @@ def _resolvent(a, spec, out):
 @_command("feynman-kac", SPEC + LAMBDA + [
     ("t", float, 0.5), ("n-paths", int, 10_000), ("dt-bm", float, 1 / 256),
     ("kmax", int, 16)] + _mu("uniform"), "feynman_kac.json", run=("seed",))
-def _feynman_kac(a, spec, out):
+def _feynman_kac(a, spec, files):
     mu = _measure_from(a)
     est = ex.feynman_kac_second_moment(spec, mu, a.t, [0.0], a.n_paths,
                                        a.dt_bm, seed=a.seed, kmax=a.kmax)
@@ -364,17 +350,17 @@ def _feynman_kac(a, spec, out):
 @_command("ergodic-check", SPEC + [("t-list", _floats, "50,200"),
                                    ("n-paths", int, 200)],
           "ergodic.json", run=("seed",))
-def _ergodic_check(a, spec, out):
+def _ergodic_check(a, spec, files):
     rep = ex.ergodic_average_check(spec, a.t_list, a.n_paths, seed=a.seed)
-    _write_csv(out, "ergodic.csv", ["t", "mean", "std_err", "variance"],
-               rep["rows"])
+    files["ergodic.csv"] = _table(["t", "mean", "std_err", "variance"],
+                                  rep["rows"])
     return rep
 
 
 @_command("holder", SPEC + LAMBDA + [
     ("grid-n", int, 192), ("mode-k", int, 63), ("dt", float, 2**-12),
     ("n-paths", int, 24)] + _mu("uniform"), "holder.json", run=("seed",))
-def _holder(a, spec, out):
+def _holder(a, spec, files):
     config = SolverConfig(spec=spec, grid_n=a.grid_n, mode_k=a.mode_k,
                           dt=a.dt, t_final=1.0)
     rep = ex.empirical_holder(config, _measure_from(a), a.seed,
@@ -430,14 +416,19 @@ def _config_flags(parser, path, cmd):
 
 
 def _run(args):
-    """The one run sequence: noise spec, manifest, compute, report."""
+    """The one run sequence: noise spec, manifest, compute, and then every
+    file at once, so a run refused on the way writes nothing."""
     cmd = args.cmd
     spec = _spec_from(args) if hasattr(args, "alpha") else None
     keys = [name.replace("-", "_") for name, _, _ in cmd.flags]
-    params = {key: getattr(args, key) for key in keys}
-    _write_manifest(args.out, cmd.name, params, getattr(args, "seed", None))
-    report = cmd.compute(args, spec, args.out)
-    _write_json(args.out, cmd.report, report)
+    manifest = {"tool": "torpam", "version": __version__,
+                "command": cmd.name,
+                "parameters": {key: getattr(args, key) for key in keys}}
+    if hasattr(args, "seed"):
+        manifest["seed"] = int(args.seed)
+    files = {"manifest.json": manifest}
+    files[cmd.report] = report = cmd.compute(args, spec, files)
+    _write(args.out, files)
     return _finish(report)
 
 

@@ -224,11 +224,6 @@ class HnTable:
     t_grid: np.ndarray
     values: np.ndarray
 
-    def write_csv(self, path):
-        header = "t," + ",".join(f"h{n}" for n in range(self.values.shape[0]))
-        data = np.column_stack([self.t_grid, self.values.T])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
 
 def _first_cell_moments(dt, spec):
     """Exact moments int_0^dt k(s) ds and int_0^dt s k(s) ds of the

@@ -229,8 +229,8 @@ def empirical_covariance(spec, dt, grid_n, n_samples, seed):
     fields = modes_to_grid(modes, kmax, grid_n, 1)
 
     emp = fields.T @ fields / n_samples
-    prods_sq = (fields[:, :, None] * fields[:, None, :]) ** 2
-    se = np.sqrt((prods_sq.mean(axis=0) - emp**2) / n_samples)
+    sq = fields * fields
+    se = np.sqrt((sq.T @ sq / n_samples - emp**2) / n_samples)
 
     pts = grid_points(grid_n, 1)[:, 0]
     diff = pts[:, None] - pts[None, :]
@@ -243,12 +243,3 @@ def empirical_covariance(spec, dt, grid_n, n_samples, seed):
         "max_abs_deviation": float(np.max(np.abs(emp - target))),
         "empirical": emp, "target": target,
     }
-
-
-# ---------------------------------------------------------------------------
-# field export: CSV (row-major)
-
-
-def write_field_csv(path, field):
-    arr = np.asarray(field)
-    np.savetxt(path, arr.reshape(arr.shape[0], -1), delimiter=",", fmt="%.17g")

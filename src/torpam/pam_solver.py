@@ -53,23 +53,24 @@ class InitialMeasure:
 
     @classmethod
     def uniform(cls, mass=1.0):
-        if mass < 0:
-            raise DomainError("mass must be nonnegative")
+        if not (mass >= 0 and np.isfinite(mass)):
+            raise DomainError(f"mass must be finite and nonnegative, got {mass}")
         return cls(variant="uniform", mass=float(mass))
 
     @classmethod
     def from_density(cls, values):
         arr = np.asarray(values, dtype=float)
-        if np.any(arr < 0):
-            raise DomainError("density must be nonnegative")
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+            raise DomainError("density values must be finite and nonnegative")
         return cls(variant="density", density=arr)
 
     @classmethod
     def point_atoms(cls, atoms):
         atoms = tuple((tuple(np.atleast_1d(np.asarray(x, float))), float(m))
                       for x, m in atoms)
-        if any(m < 0 for _, m in atoms):
-            raise DomainError("atom masses must be nonnegative")
+        if not all(m >= 0 and np.all(np.isfinite([*x, m])) for x, m in atoms):
+            raise DomainError("atom masses must be finite and nonnegative, "
+                              "and positions finite")
         return cls(variant="atoms", atoms=atoms)
 
     @classmethod

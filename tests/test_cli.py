@@ -89,8 +89,10 @@ class TestExitCodes:
         assert not (out / "kernel_eval.json").exists()
 
     def test_missing_alpha_is_one(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "noalpha", "cov-eval", "--x", "1.0")
+        code, out = run(tmp_path, "noalpha", "cov-eval", "--x", "1.0")
         assert code == 1
+        assert "required: --alpha" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_field_is_one(self, tmp_path, capsys):
@@ -170,6 +172,33 @@ class TestArtifacts:
         assert np.load(out / "increment.npy").tobytes() == \
             inc.values.tobytes()
 
+    @pytest.mark.parametrize("command,d,field", [
+        ("simulate", "1", "field_0001"), ("simulate", "2", "field_0001"),
+        ("noise-sample", "1", "increment"), ("noise-sample", "2", "increment"),
+    ])
+    def test_field_csv_reads_back_as_its_npy(self, tmp_path, capsys, command,
+                                            d, field):
+        extra = (SOLVER + ["--t-final", "0.02"] if command == "simulate"
+                 else ["--grid-n", "16", "--kmax", "5"])
+        code, out = run(tmp_path, "f", command, *S, "--d", d, *extra,
+                        "--format", "csv")
+        assert code == 0
+        npy = np.load(out / f"{field}.npy")
+        back = np.loadtxt(out / f"{field}.csv", delimiter=",")
+        assert np.array_equal(back.reshape(npy.shape), npy)
+
+    def test_hn_table_csv_reads_back_bitwise(self, tmp_path, capsys):
+        code, out = run(tmp_path, "mt", "moments-table", *S, "--n-max", "3",
+                        "--t-max", "2", "--n-t", "41")
+        assert code == 0
+        lines = (out / "hn_table.csv").read_text().splitlines()
+        assert lines[0] == "t,h0,h1,h2,h3"
+        back = np.loadtxt(out / "hn_table.csv", delimiter=",", skiprows=1)
+        grid = np.linspace(0.0, 2.0, 41)
+        table = mc.hn_table(NoiseSpec(d=1, alpha=0.3, rho=1.0), 3, grid)
+        assert np.array_equal(back[:, 0], grid)
+        assert np.array_equal(back[:, 1:].T, table.values)
+
 
 S = ["--alpha", "0.3", "--rho", "1"]
 SOLVER = ["--grid-n", "16", "--mode-k", "5", "--dt", "0.01"]
@@ -220,6 +249,9 @@ class TestEveryCommand:
         assert set(os.listdir(out)) == files | {"manifest.json"}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == command
+        for name in files:
+            if name.endswith(".csv"):
+                assert b"\r" not in (out / name).read_bytes()
 
     # kernel-eval's --t and --x are required flags, filled from the config
     @pytest.mark.parametrize("argv", [
@@ -271,6 +303,21 @@ class TestBadInput:
         assert code == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    # refused inside the compute function, after the flags parsed
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", *S, "--t-out", "0.3"], "output time 0.3"),
+        (["ergodic-check", *S, "--t-list", "1.004", "--n-paths", "4"],
+         "horizon t = 1.004"),
+        (["feynman-kac", *S, "--mass", "nan"], "mass must be finite"),
+    ])
+    def test_refused_in_compute_writes_nothing(self, tmp_path, capsys, argv,
+                                               message):
+        code, out = run(tmp_path, "refused", *argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and message in err
         assert not out.exists()
 
     def test_ergodic_horizon_below_half_step_is_one(self, tmp_path, capsys):

@@ -156,13 +156,6 @@ class TestHnTable:
         with pytest.raises(DalangViolation):
             mc.hn_table(bad, 2, np.linspace(0, 1, 11))
 
-    def test_export(self, tmp_path, spec_d1):
-        tab = mc.hn_table(spec_d1, 2, np.linspace(0, 1, 11))
-        path = tmp_path / "hn.csv"
-        tab.write_csv(path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (11, 4)
-
 
 class TestHLambda:
     def test_zero_coupling(self, spec_d1):

@@ -249,15 +249,23 @@ class TestEmpiricalCovariance:
         r2 = nf.empirical_covariance(spec_d1, 0.1, 17, 16000, seed=8)
         assert r2["max_abs_deviation"] <= r1["max_abs_deviation"] * 1.2
 
+    def test_standard_error_matches_the_outer_product_formula(self, spec_d1):
+        # the standard error comes from the squared fields' Gram matrix;
+        # at a small size, compare with the n x N x N outer product of
+        # the sampled fields themselves
+        grid_n, n, dt, seed = 9, 1000, 0.1, 11
+        rep = nf.empirical_covariance(spec_d1, dt, grid_n, n, seed)
+        sampler = nf.IncrementSampler(spec_d1, 4, grid_n, dt)
+        modes = sampler.sample_modes(nf.step_rng(seed, 0), n_batch=n)
+        fields = nf.modes_to_grid(modes, 4, grid_n, 1)
+        emp = fields.T @ fields / n
+        prods_sq = (fields[:, :, None] * fields[:, None, :]) ** 2
+        se = np.sqrt((prods_sq.mean(axis=0) - emp**2) / n)
+        assert np.array_equal(rep["empirical"], emp)
+        dev = np.abs(emp - rep["target"]) / se
+        assert rep["worst_se_units"] == pytest.approx(np.max(dev), rel=1e-13)
+
     def test_requires_enough_samples(self, spec_d1):
         with pytest.raises(DomainError):
             nf.empirical_covariance(spec_d1, 0.1, 17, 100, seed=0)
 
-
-class TestExport:
-    def test_csv_export(self, tmp_path, spec_d1):
-        inc = nf.sample_increment(spec_d1, 8, 0.1, 17, seed=1)
-        path = tmp_path / "field.csv"
-        nf.write_field_csv(path, inc.values)
-        back = np.loadtxt(path, delimiter=",")
-        assert np.allclose(back, inc.values, rtol=0, atol=0)

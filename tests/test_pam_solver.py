@@ -34,6 +34,22 @@ class TestInitialMeasure:
         with pytest.raises(DomainError):
             ps.InitialMeasure.delta([0.0], 0.0)
 
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_uniform_refuses_non_finite_mass(self, mass):
+        with pytest.raises(DomainError, match="finite"):
+            ps.InitialMeasure.uniform(mass)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_density_refuses_non_finite_values(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            ps.InitialMeasure.from_density([1.0, bad, 1.0])
+
+    @pytest.mark.parametrize("atom", [([0.1], math.nan), ([0.1], math.inf),
+                                      ([math.nan], 1.0), ([0.1, math.inf], 1.0)])
+    def test_atoms_refuse_non_finite_mass_or_position(self, atom):
+        with pytest.raises(DomainError, match="finite"):
+            ps.InitialMeasure.point_atoms([([0.0], 1.0), atom])
+
     def test_delta_is_one_unit_atom(self):
         mu = ps.InitialMeasure.delta([0.3], 0.05)
         assert mu == ps.InitialMeasure(variant="atoms", atoms=(((0.3,), 1.0),),
