@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
-
-from scipy.special import logsumexp
 
 from .errors import DomainError
 from .heat_kernel import (TWO_PI, as_coords, gauss_kernel, heat_kernel,
@@ -108,6 +105,8 @@ def corrected_comparison_constants(eps):
 
 
 def _sobol_box(n_samples, dim, seed):
+    from scipy.stats import qmc
+
     eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
     m = max(1, math.ceil(math.log2(n_samples)))
     return eng.random_base2(m)[:n_samples]
@@ -144,6 +143,8 @@ def check_large_time_bound(eps, t, d=1, n_samples=10_000, seed=0, corrected=Fals
 def _log_image_sum(t, s, x0, x, z):
     """log of the 3^d-term Euclidean bridge image sum, vectorized; stays
     finite where every single Gaussian underflows."""
+    from scipy.special import logsumexp
+
     x0a, xa, za = as_coords(x0), as_coords(x), as_coords(z)
     d = x0a.shape[-1]
     shifts = cube_points([-TWO_PI, 0.0, TWO_PI], d)

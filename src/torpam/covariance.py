@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import DalangViolation, DomainError, SingularityError
 from .heat_kernel import (TWO_PI, as_coords, heat_kernel, signed_mod,
@@ -41,6 +40,10 @@ class NoiseSpec:
     lam: float = 1.0
 
     def __post_init__(self):
+        for name, value in (("alpha", self.alpha), ("rho", self.rho),
+                            ("lam", self.lam)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.d < 1:
             raise DomainError("dimension d must be >= 1")
         if self.alpha <= 0.0:
@@ -83,6 +86,8 @@ def _gaussian_part(spec, x, eta):
     The substitution tau = u^alpha absorbs the endpoint power; scipy's
     adaptive rule then resolves the Gaussian peak near u ~ |x|^2 on its own.
     """
+    from scipy import integrate
+
     a, d = spec.alpha, spec.d
     xa = signed_mod(as_coords(x))
 
@@ -117,6 +122,8 @@ def covariance_eval(spec, x, kmax=None, full_output=False):
 
     With ``full_output`` returns ``(value, tail_bound)``.
     """
+    from scipy import special
+
     if kmax is None:
         kmax = DEFAULT_KMAX.get(spec.d, 8)
     xa = signed_mod(as_coords(x))
@@ -153,6 +160,8 @@ def covariance_eval_batch(spec, xs):
     Gaussian part, so large grids (threshold scans) stay cheap.  Points
     closer to 0 than ~1e-3 should use the scalar evaluator.
     """
+    from scipy import special
+
     kmax = DEFAULT_KMAX.get(spec.d, 8)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     xs = signed_mod(xs)
@@ -200,6 +209,8 @@ def covariance_eval_integral(spec, x):
     which removes the endpoint power exactly; the long part decays like
     exp(-u) and goes straight to an adaptive rule on (1, oo).
     """
+    from scipy import integrate
+
     a, d = spec.alpha, spec.d
     xa = signed_mod(as_coords(x))
     if xa.shape[-1] != d:

@@ -441,6 +441,8 @@ def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0):
     refused, as in :func:`feynman_kac_second_moment`."""
     if spec.d != 1:
         raise DomainError("implemented for d = 1")
+    if not np.all(np.isfinite(t_list)):
+        raise DomainError(f"horizons must be finite, got {t_list}")
     t_list = sorted(float(t) for t in np.atleast_1d(t_list))
     steps = [int(round(t / dt_bm)) for t in t_list]
     if steps[0] < 1:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .covariance import NoiseSpec
 from .errors import DomainError, NumericsError
@@ -64,6 +63,8 @@ def _weighted_heat_sum_small_s(s, spec):
     (1/Gamma(a)) int_s^oo (w - s)^{a-1} [(2 pi)^d G(2w, 0) - 1] dw,
     accurate down to s = 0+ where the direct sum would need huge cutoffs."""
     import warnings as _w
+
+    from scipy import integrate
 
     from .heat_kernel import heat_kernel
 
@@ -141,6 +142,8 @@ def k1_laplace(gamma, spec):
     The sum is truncated at ``_laplace_kmax(d)`` with an Euler-Maclaurin
     radial tail, keeping the absolute error near 1e-9 for d = 1.
     """
+    from scipy import integrate
+
     if gamma <= 0.0:
         raise DomainError("gamma must be positive")
     spec.require_dalang()
@@ -176,6 +179,8 @@ def riesz_gaussian_constant(d, alpha):
     2^a Gamma(a) pi^{d/2} / Gamma(d/2) covers the boundary case alpha >= d/2,
     where only the prefactor convention survives.
     """
+    from scipy import integrate
+
     if alpha < d / 2.0:
         c = riesz_fourier_constant(d, alpha)
         omega = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)

@@ -130,6 +130,9 @@ def j0(t, x, mu, d=None):
 
 def whole_steps(t, dt, t_name, dt_name):
     """The number of steps dt in the horizon t, refused unless whole."""
+    for name, value in ((t_name, t), (dt_name, dt)):
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value:g}")
     n = int(round(t / dt))
     if abs(n * dt - t) > 1e-9 * t:
         raise DomainError(f"{t_name} = {t:g} is not a whole number of steps "

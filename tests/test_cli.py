@@ -1,10 +1,14 @@
 import filecmp
 import json
 import os
+import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import torpam
 from torpam import moment_calculus as mc
 from torpam.cli import COMMANDS, main
 from torpam.covariance import NoiseSpec
@@ -305,12 +309,21 @@ class TestBadInput:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
-    # refused inside the compute function, after the flags parsed
+    # refused after the flags parsed: by the noise spec or inside the
+    # compute function (argparse's float() reads "nan" as a number)
     @pytest.mark.parametrize("argv,message", [
         (["simulate", *S, "--t-out", "0.3"], "output time 0.3"),
         (["ergodic-check", *S, "--t-list", "1.004", "--n-paths", "4"],
          "horizon t = 1.004"),
         (["feynman-kac", *S, "--mass", "nan"], "mass must be finite"),
+        (["simulate", *S, "--dt", "nan"], "dt must be finite"),
+        (["feynman-kac", *S, "--t", "nan"], "horizon t must be finite"),
+        (["mc-moments", *S, "--t-list", "nan"], "t_final must be finite"),
+        (["ergodic-check", *S, "--t-list", "0.5,nan"],
+         "horizons must be finite"),
+        (["gamma0", "--alpha", "0.3", "--rho", "nan"], "rho must be finite"),
+        (["cov-eval", "--alpha", "nan", "--x", "1"], "alpha must be finite"),
+        (["simulate", *S, "--lambda", "nan"], "lam must be finite"),
     ])
     def test_refused_in_compute_writes_nothing(self, tmp_path, capsys, argv,
                                                message):
@@ -358,3 +371,46 @@ class TestBadInput:
         assert code == 1
         assert "output time 5 lies outside the march" in \
             capsys.readouterr().err
+
+
+def _fresh(code):
+    """Run ``code`` in a fresh interpreter on this torpam and return the
+    scipy modules it left loaded (the pytest process has loaded scipy)."""
+    src = os.path.dirname(os.path.dirname(torpam.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code += ("\nimport json, sys\nprint(json.dumps(sorted("
+             "m for m in sys.modules if m.startswith('scipy'))))")
+    done = subprocess.run([sys.executable, "-c", code], text=True,
+                          capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# every subcommand that runs no quadrature, Sobol draw or incomplete gamma
+SCIPY_FREE = ["kernel-eval", "kernel-verify", "noise-sample", "noise-verify",
+              "simulate", "two-point", "feynman-kac", "ergodic-check",
+              "holder"]
+
+
+class TestColdStart:
+    """scipy is imported inside the functions that call it, so a fresh
+    process that never calls them starts without it."""
+
+    def test_no_module_imports_scipy(self):
+        names = [m.name for m in pkgutil.iter_modules(torpam.__path__)]
+        assert "cli" in names
+        assert _fresh("".join(f"import torpam.{m}\n" for m in names)) == []
+
+    def test_commands_without_quadrature_load_no_scipy(self, tmp_path):
+        code = "from torpam.cli import main\n" + "".join(
+            f"assert main({[c, *SMOKE[c][0], '--out', str(tmp_path / c)]!r})"
+            " in (0, 2)\n" for c in SCIPY_FREE)
+        assert _fresh(code) == []
+
+    def test_deferred_import_resolves(self, tmp_path):
+        argv = ["cov-eval", "--alpha", "0.3", "--x", "1", "--out",
+                str(tmp_path / "c")]
+        loaded = _fresh("from torpam.cli import main\n"
+                        f"assert main({argv!r}) == 0")
+        assert {"scipy.integrate", "scipy.special"} <= set(loaded)

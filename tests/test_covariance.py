@@ -24,6 +24,14 @@ class TestNoiseSpec:
         with pytest.raises(DomainError):
             cov.NoiseSpec(d=1, alpha=0.5, rho=-1.0)
 
+    # nan <= 0 is False, so the sign checks alone let a NaN through
+    @pytest.mark.parametrize("field", ["alpha", "rho", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_refused(self, field, value):
+        kwargs = {"d": 1, "alpha": 0.5, "rho": 1.0, "lam": 1.0, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            cov.NoiseSpec(**kwargs)
+
     def test_dalang(self):
         assert cov.NoiseSpec(d=3, alpha=0.6).dalang_ok
         assert not cov.NoiseSpec(d=3, alpha=0.5).dalang_ok

@@ -162,6 +162,14 @@ class TestConfig:
             ps.SolverConfig(spec=heat_spec(), grid_n=49, mode_k=16,
                             dt=1 / 256, t_final=0.3)
 
+    @pytest.mark.parametrize("t_final,dt,name", [
+        (math.nan, 0.01, "t_final"), (math.inf, 0.01, "t_final"),
+        (0.1, math.nan, "dt")])
+    def test_non_finite_horizon_or_step_refused(self, t_final, dt, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            ps.SolverConfig(spec=heat_spec(), grid_n=49, mode_k=16, dt=dt,
+                            t_final=t_final)
+
     def test_dalang_refusal(self):
         bad = NoiseSpec(d=3, alpha=0.5, rho=1.0, lam=1.0)
         with pytest.raises(DomainError):
