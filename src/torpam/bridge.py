@@ -158,6 +158,14 @@ def _log_image_sum(t, s, x0, x, z):
     return logsumexp(np.stack(logs, axis=0), axis=0)
 
 
+def _log_bridge_and_envelope(t, s, x0, x, z):
+    """The logs of both sides of the small-time image-sum bound."""
+    log_bridge = (log_heat_kernel(s, z - x0) + log_heat_kernel(t - s, x - z)
+                  - log_heat_kernel(t, x - x0))
+    log_env = _log_image_sum(t, s, x0, x, z) + x0.shape[-1] * np.log1p(np.sqrt(t))
+    return log_bridge, log_env
+
+
 def check_image_sum_bound(t, s, x0, x, z):
     """Pointwise report for the small-time bound
     G_{t,x0,x}(s,z) <= C (1 + sqrt(t))^d sum_{k in Pi^d} p_{t,x0,x+k}(s,z).
@@ -170,10 +178,7 @@ def check_image_sum_bound(t, s, x0, x, z):
         raise DomainError("need 0 < s < t")
     if np.any(za - x0a < -math.pi) or np.any(za - x0a >= math.pi):
         raise DomainError("z - x0 must lie in [-pi, pi)^d")
-    d = x0a.shape[-1]
-    log_bridge = (log_heat_kernel(s, za - x0a) + log_heat_kernel(t - s, xa - za)
-                  - log_heat_kernel(t, xa - x0a))
-    log_env = _log_image_sum(t, s, x0a, xa, za) + d * math.log1p(math.sqrt(t))
+    log_bridge, log_env = _log_bridge_and_envelope(t, s, x0a, xa, za)
     return {
         "bridge": float(np.exp(log_bridge)),
         "envelope": float(np.exp(log_env)),
@@ -191,10 +196,7 @@ def fit_image_sum_constant(d=1, n_samples=10_000, seed=0):
     x0 = u[:, 2:2 + d] * TWO_PI - math.pi
     x = u[:, 2 + d:2 + 2 * d] * TWO_PI - math.pi
     z = x0 + (u[:, 2 + 2 * d:] * TWO_PI - math.pi)
-
-    log_bridge = (log_heat_kernel(s, z - x0) + log_heat_kernel(t - s, x - z)
-                  - log_heat_kernel(t, x - x0))
-    log_env = _log_image_sum(t, s, x0, x, z) + d * np.log1p(np.sqrt(t))
+    log_bridge, log_env = _log_bridge_and_envelope(t, s, x0, x, z)
     ratios = np.exp(log_bridge - log_env)
     return {
         "d": d, "n_samples": n_samples, "t_max": t_max, "seed": seed,

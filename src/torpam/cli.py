@@ -364,7 +364,7 @@ def _holder(a, spec, files):
     config = SolverConfig(spec=spec, grid_n=a.grid_n, mode_k=a.mode_k,
                           dt=a.dt, t_final=1.0)
     rep = ex.empirical_holder(config, _measure_from(a), a.seed,
-                              n_paths=a.n_paths, space_lags=(1, 2, 4, 8))
+                              n_paths=a.n_paths)
     rep["beta1_sup"], rep["beta2_sup"] = mc.holder_exponents(spec.alpha,
                                                              spec.d)
     rep["pass"] = bool(0.3 <= rep["beta1_hat"] <= 0.5

@@ -74,10 +74,18 @@ def fourier_weight(spec, k):
     return norm_sq ** (-spec.alpha) * TWO_PI ** (-spec.d / 2.0)
 
 
-def _ewald_eta(kmax):
+def _ewald_weights(spec, kmax):
+    """``(eta, vecs, damped)``: the split scale, the lattice |k|_inf <= kmax
+    and its damped weights |k|^{-2 alpha} Q(alpha, eta |k|^2)."""
+    from scipy import special
+
     # direct-sum weights carry exp(-eta |k|^2); at |k| = kmax they are
     # below 1e-16 so the neglected tail is certified tiny
-    return math.log(1e16) / kmax**2
+    eta = math.log(1e16) / kmax**2
+    vecs = lattice_vectors(spec.d, kmax).astype(float)
+    norm_sq = np.sum(vecs * vecs, axis=-1)
+    return eta, vecs, norm_sq ** (-spec.alpha) * special.gammaincc(
+        spec.alpha, eta * norm_sq)
 
 
 def _gaussian_part(spec, x, eta):
@@ -122,8 +130,6 @@ def covariance_eval(spec, x, kmax=None, full_output=False):
 
     With ``full_output`` returns ``(value, tail_bound)``.
     """
-    from scipy import special
-
     if kmax is None:
         kmax = DEFAULT_KMAX.get(spec.d, 8)
     xa = signed_mod(as_coords(x))
@@ -132,16 +138,15 @@ def covariance_eval(spec, x, kmax=None, full_output=False):
     if np.all(xa == 0.0) and spec.alpha <= spec.d / 2.0:
         raise SingularityError("f is singular at x = 0 for alpha <= d/2")
 
-    eta = _ewald_eta(kmax)
-    vecs = lattice_vectors(spec.d, kmax).astype(float)
-    norm_sq = np.sum(vecs * vecs, axis=-1)
-    damped = norm_sq ** (-spec.alpha) * special.gammaincc(spec.alpha, eta * norm_sq)
+    eta, vecs, damped = _ewald_weights(spec, kmax)
     direct = float(np.sum(damped * np.cos(vecs @ xa)))
     gauss = _gaussian_part(spec, xa, eta)
     value = TWO_PI ** (-spec.d) * (spec.rho + direct + gauss)
 
     if not full_output:
         return value
+    from scipy import special
+
     # neglected direct terms |k|_inf > kmax: bound each Q-factor by its
     # large-argument form and compare the shell sum to a radial integral
     r2_tail = float(kmax**2)
@@ -160,18 +165,10 @@ def covariance_eval_batch(spec, xs):
     Gaussian part, so large grids (threshold scans) stay cheap.  Points
     closer to 0 than ~1e-3 should use the scalar evaluator.
     """
-    from scipy import special
-
-    kmax = DEFAULT_KMAX.get(spec.d, 8)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    xs = signed_mod(xs)
-    eta = _ewald_eta(kmax)
-    a, d = spec.alpha, spec.d
-
-    vecs = lattice_vectors(d, kmax).astype(float)
-    norm_sq = np.sum(vecs * vecs, axis=-1)
-    damped = norm_sq ** (-a) * special.gammaincc(a, eta * norm_sq)
+    xs = signed_mod(np.atleast_2d(np.asarray(xs, dtype=float)))
+    eta, vecs, damped = _ewald_weights(spec, DEFAULT_KMAX.get(spec.d, 8))
     direct = np.cos(xs @ vecs.T) @ damped
+    a, d = spec.alpha, spec.d
 
     nodes, weights = np.polynomial.legendre.leggauss(48)
     edges = eta**a * np.array([0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0])

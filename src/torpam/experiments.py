@@ -25,13 +25,12 @@ from .pam_solver import j0, solve_ensemble, whole_steps
 
 
 def jackknife_se(values):
-    """Leave-one-out standard error of the sample mean."""
+    """Standard error s / sqrt(n) of the sample mean, which is exactly its
+    leave-one-out jackknife estimate."""
     v = np.asarray(values, dtype=float)
-    n = v.size
-    if n < 2:
+    if v.size < 2:
         raise DomainError("jackknife needs at least two samples")
-    loo = (np.sum(v) - v) / (n - 1)
-    return float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
+    return float(np.std(v, ddof=1) / math.sqrt(v.size))
 
 
 @dataclass(frozen=True)
@@ -58,26 +57,25 @@ def mc_moments(config, mu, p, n_samples, t_list, x_list, seed=0,
     errors.
 
     The ensemble splits into ``n_chunks`` fixed chunks on the noise
-    streams 0..n_chunks-1, optionally run on a thread pool; the result
-    is bit-identical for any thread count because the chunk layout and
+    streams 0..n_chunks-1, mapped over a pool of ``threads`` threads; the
+    result is bit-identical for any thread count because the chunk layout and
     the reduction order are fixed.
     """
     if p < 1:
         raise DomainError("moment order p must be >= 1")
     if n_chunks < 1 or n_samples % n_chunks:
         raise DomainError("n_chunks must divide n_samples")
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     per = n_samples // n_chunks
 
     def run(chunk):
         return solve_ensemble(config, mu, seed, per, t_list, stream=chunk)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, range(n_chunks)))
-    else:
-        parts = [run(c) for c in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(run, range(n_chunks)))
     times = parts[0][0]
     fields = np.concatenate([pr[1] for pr in parts], axis=1)
     pts = grid_points(config.grid_n, config.spec.d)
@@ -360,6 +358,8 @@ def _pair_walk(spec, kmax, x0, n_paths, stops, dt_bm, rng):
     m and at the last stop only, so a stop's values do not depend on which
     other stops were asked for.
     """
+    if n_paths < 2:
+        raise DomainError(f"a standard error needs n_paths >= 2, got {n_paths}")
     xs_tab, f_tab = _f_table(spec, kmax)
     m = max(1, _PAIR_BLOCK // (2 * n_paths))
     root = math.sqrt(dt_bm)
@@ -464,10 +464,10 @@ def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0):
         avg = acc * dt_bm / t_now
         # sum_{i<n} e^{-k^2 i dt_bm} as a geometric series
         decay = np.expm1(-sq * step_i * dt_bm) / np.expm1(-sq * dt_bm)
+        variance = float(np.var(avg, ddof=1))
         rows.append({
             "t": t_now, "mean": float(np.mean(avg)),
-            "std_err": jackknife_se(avg),
-            "variance": float(np.var(avg, ddof=1)),
+            "std_err": math.sqrt(variance / n_paths), "variance": variance,
             "exact_mean": dt_bm / t_now * TWO_PI ** (-1) * (
                 spec.rho * step_i + float(np.sum(weights * decay))),
         })
@@ -482,53 +482,42 @@ def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0):
 # empirical Hoelder exponents
 
 
-def _structure_slope(lags, s2):
-    x = np.log(np.asarray(lags, dtype=float))
-    y = 0.5 * np.log(np.asarray(s2, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
+def _structure_slopes(lags, s2):
+    """Slopes of log sqrt(S2) on log lag, one per column of the
+    (lag, column) table ``s2``: the pooled S2 first, then each path's."""
+    y = 0.5 * np.log(np.column_stack([s2.mean(axis=1), s2]))
+    return np.polyfit(np.log(lags), y, 1)[0]
 
 
 def empirical_holder(config, mu, seed, n_paths=24, t_window=(0.5, 1.0),
                      save_every=4, time_lags=(1, 2, 4, 8, 16, 32),
-                     space_lags=(2, 4, 8, 16)):
+                     space_lags=(1, 2, 4, 8)):
     """Structure-function estimates of the time/space Hoelder exponents.
 
     Simulates an ensemble on ``t_window``, records the field every
     ``save_every`` steps, and regresses log sqrt(S2) on log lag, where S2
-    is the mean squared increment over paths, positions and offsets.  Lags
-    are dyadic multiples of the storage stride (time) and of the grid cell
-    (space).  Per-path slope scatter gives the confidence width.
+    is the mean squared increment over paths, positions and offsets: the
+    mean over paths of one per-path table.  Lags are dyadic multiples of
+    the storage stride (time) and of the grid cell (space).  Per-path
+    slope scatter gives the confidence width.
     """
     if len(time_lags) < 4 or len(space_lags) < 4:
         raise DomainError("need at least 4 lags per direction")
     t0, t1 = t_window
     out_times = np.arange(t0, t1 + 1e-12, config.dt * save_every)
     times, fields = solve_ensemble(config, mu, seed, n_paths, out_times)
-    # fields: (time, path, x)
     dt_out = float(times[1] - times[0])
-    u = np.moveaxis(fields, 0, 1)  # (path, time, x)
-
-    def slopes_for(path_slice):
-        s2_t = []
-        for lag in time_lags:
-            d = u[path_slice, lag:, :] - u[path_slice, :-lag, :]
-            s2_t.append(np.mean(d * d))
-        s2_s = []
-        for lag in space_lags:
-            d = np.roll(u[path_slice], -lag, axis=-1) - u[path_slice]
-            s2_s.append(np.mean(d * d))
-        b1 = _structure_slope(np.array(time_lags) * dt_out, s2_t)
-        cell = TWO_PI / config.grid_n
-        b2 = _structure_slope(np.array(space_lags) * cell, s2_s)
-        return b1, b2
-
-    beta1, beta2 = slopes_for(slice(None))
-    per_path = np.array([slopes_for(slice(i, i + 1)) for i in range(n_paths)])
-    ci1 = float(np.std(per_path[:, 0], ddof=1) / math.sqrt(n_paths)) * 2.0
-    ci2 = float(np.std(per_path[:, 1], ddof=1) / math.sqrt(n_paths)) * 2.0
+    axes = (0, *range(2, fields.ndim))  # fields: (time, path, x...)
+    s2_t = np.array([np.mean((fields[lag:] - fields[:-lag]) ** 2, axis=axes)
+                     for lag in time_lags])
+    s2_s = np.array([np.mean((np.roll(fields, -lag, axis=-1) - fields) ** 2,
+                             axis=axes) for lag in space_lags])
+    b1 = _structure_slopes(np.array(time_lags) * dt_out, s2_t)
+    b2 = _structure_slopes(np.array(space_lags) * (TWO_PI / config.grid_n), s2_s)
     return {
-        "beta1_hat": beta1, "beta2_hat": beta2,
-        "beta1_ci": ci1, "beta2_ci": ci2,
+        "beta1_hat": float(b1[0]), "beta2_hat": float(b2[0]),
+        "beta1_ci": 2.0 * jackknife_se(b1[1:]),
+        "beta2_ci": 2.0 * jackknife_se(b2[1:]),
         "dt": config.dt, "dt_out": dt_out, "n_paths": n_paths,
         "time_lags": tuple(time_lags), "space_lags": tuple(space_lags),
     }

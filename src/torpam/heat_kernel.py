@@ -124,6 +124,8 @@ def _time(name, t):
     else:
         ok = np.all(t > 0.0)
     if not ok:
+        if np.any(np.isnan(t)):
+            raise DomainError(f"{name} requires a finite t, got nan")
         raise DomainError(f"{name} requires t > 0")
     return t
 

@@ -36,6 +36,10 @@ _LOG_CUT = 38.0
 # s arrays are evaluated over row blocks of at most this size
 _K1_BLOCK = 2**24
 
+# node cap of the H_lambda march, whose cost grows as the node count squared:
+# above the 80 963 nodes of d = 1, alpha 0.3, t = 50, lambda 4
+_MAX_NODES = 2**17
+
 
 # lattice cutoffs: the cap of the exact k1 sums, the Laplace sum, and the
 # exact sums of the k1 time integrals (at most the cap)
@@ -360,7 +364,8 @@ def H_lambda(spec, t, lam=None, dt=None, full_output=False):
     so the node solve stays well away from its pole.  Each t is read at the
     nearest grid node; with ``full_output`` the info dict holds ``dt``,
     ``n_nodes`` and ``t_eval``, the node times used (None, 0 and t when
-    H = 1 trivially).  Raises NumericsError when H leaves double range.
+    H = 1 trivially).  Raises NumericsError when H leaves double range or
+    the march needs more than ``_MAX_NODES`` nodes.
     """
     if lam is None:
         lam = spec.lam
@@ -379,6 +384,8 @@ def H_lambda(spec, t, lam=None, dt=None, full_output=False):
         dt = _march_step(spec, t_max, lam2)
     while True:
         n_nodes = int(math.ceil(t_max / dt)) + 1
+        if n_nodes > _MAX_NODES:
+            raise NumericsError(f"H_lambda needs {n_nodes} nodes, over the cap {_MAX_NODES}")
         P, A = _pi_weights(spec, n_nodes, dt)
         if lam2 * P[0] < 0.5:
             break
@@ -479,7 +486,8 @@ def p_moment_upper(t, x, p, mu, spec):
     At strong effective coupling the generating function H exceeds the
     double-precision range (its logarithm passes 709 already at moderate
     t); the bound is then reported as +inf, which is still a true upper
-    bound, just an uninformative one.
+    bound, just an uninformative one.  It is +inf too when the march of H
+    needs more nodes than its cap (d = 2, alpha 0.5, rho 1, t = 0.5).
     """
     if p < 2.0:
         raise DomainError("the moment bound needs p >= 2")

@@ -129,14 +129,16 @@ def j0(t, x, mu, d=None):
 
 
 def whole_steps(t, dt, t_name, dt_name):
-    """The number of steps dt in the horizon t, refused unless whole."""
+    """The number of steps dt in the horizon t >= 0, refused unless whole."""
     for name, value in ((t_name, t), (dt_name, dt)):
         if not np.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value:g}")
     n = int(round(t / dt))
-    if abs(n * dt - t) > 1e-9 * t:
+    if abs(n * dt - t) > 1e-9 * abs(t):
         raise DomainError(f"{t_name} = {t:g} is not a whole number of steps "
                           f"{dt_name} = {dt:g}; {n} steps reach {n * dt:.12g}")
+    if t < 0:
+        raise DomainError(f"{t_name} = {t:g} is negative")
     return n
 
 

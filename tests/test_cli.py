@@ -324,6 +324,12 @@ class TestBadInput:
         (["gamma0", "--alpha", "0.3", "--rho", "nan"], "rho must be finite"),
         (["cov-eval", "--alpha", "nan", "--x", "1"], "alpha must be finite"),
         (["simulate", *S, "--lambda", "nan"], "lam must be finite"),
+        (["feynman-kac", *S, "--t", "-1"], "horizon t = -1 is negative"),
+        (["kernel-eval", "--t", "nan", "--x", "0"],
+         "heat_kernel requires a finite t, got nan"),
+        (["mc-moments", *S, "--threads", "0"], "threads must be >= 1"),
+        (["ergodic-check", *S, "--n-paths", "1"], "needs n_paths >= 2"),
+        (["feynman-kac", *S, "--n-paths", "0"], "needs n_paths >= 2"),
     ])
     def test_refused_in_compute_writes_nothing(self, tmp_path, capsys, argv,
                                                message):

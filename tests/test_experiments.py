@@ -24,7 +24,11 @@ class TestJackknife:
     def test_matches_classic_se_for_mean(self, rng):
         x = rng.normal(size=400)
         classic = np.std(x, ddof=1) / math.sqrt(len(x))
+        loo = (np.sum(x) - x) / (len(x) - 1)  # leave-one-out means
+        jackknife = math.sqrt((len(x) - 1) / len(x)
+                              * np.sum((loo - loo.mean()) ** 2))
         assert ex.jackknife_se(x) == pytest.approx(classic, rel=1e-10)
+        assert ex.jackknife_se(x) == pytest.approx(jackknife, rel=1e-10)
 
     def test_needs_two(self):
         with pytest.raises(DomainError):
@@ -401,7 +405,40 @@ class TestFeynmanKacHorizon:
             ex.feynman_kac_second_moment(spec_d1, mu, 0.5, [0.0], 10, 0.3)
 
 
+def reference_holder(config, mu, seed, n_paths, time_lags, space_lags):
+    """Pooled S2 over every path at once, then one more pass per path for
+    the confidence width: the two-pass rule the per-path table reproduces."""
+    out_times = np.arange(0.5, 1.0 + 1e-12, config.dt * 4)
+    times, fields = solve_ensemble(config, mu, seed, n_paths, out_times)
+    u = np.moveaxis(fields, 0, 1)
+
+    def slopes(v):
+        s2_t = [np.mean((v[:, lag:] - v[:, :-lag]) ** 2) for lag in time_lags]
+        s2_s = [np.mean((np.roll(v, -lag, axis=-1) - v) ** 2)
+                for lag in space_lags]
+        return [np.polyfit(np.log(np.array(lags) * h), 0.5 * np.log(s2), 1)[0]
+                for lags, h, s2 in ((time_lags, times[1] - times[0], s2_t),
+                                    (space_lags, TWO_PI / config.grid_n, s2_s))]
+
+    per_path = np.array([slopes(u[i:i + 1]) for i in range(n_paths)])
+    return slopes(u), 2.0 * np.std(per_path, axis=0, ddof=1) / math.sqrt(n_paths)
+
+
 class TestHolder:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_two_pass_reference(self, d):
+        spec = NoiseSpec(d=d, alpha=0.3, rho=1.0, lam=1.0)
+        cfg = SolverConfig(spec=spec, grid_n=16, mode_k=5, dt=1 / 256,
+                           t_final=1.0)
+        mu = InitialMeasure.uniform(1.0)
+        rep = ex.empirical_holder(cfg, mu, seed=2, n_paths=4)
+        betas, cis = reference_holder(cfg, mu, 2, 4, rep["time_lags"],
+                                      rep["space_lags"])
+        assert rep["space_lags"] == (1, 2, 4, 8)
+        got = [rep["beta1_hat"], rep["beta2_hat"], rep["beta1_ci"],
+               rep["beta2_ci"]]
+        assert got == pytest.approx([*betas, *cis], rel=1e-12)
+
     def test_smooth_field_saturates(self):
         # lam = 0 with non-uniform data: increments scale like the lag
         spec = NoiseSpec(d=1, alpha=0.3, rho=1.0, lam=0.0)

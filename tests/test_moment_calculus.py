@@ -274,6 +274,17 @@ class TestBounds:
         mu = InitialMeasure.uniform(1.0)
         assert mc.p_moment_upper(1.0, [0.0], 4.0, mu, spec_d1) == math.inf
 
+    def test_upper_bound_past_the_node_cap_is_inf(self, monkeypatch):
+        from torpam.pam_solver import InitialMeasure
+
+        # d = 2: H_{4 sqrt 2} would march ~6.2e5 nodes, above the cap, so it
+        # is refused before the product-integration weights are built
+        spec = NoiseSpec(d=2, alpha=0.5, rho=1.0, lam=1.0)
+        monkeypatch.setattr(mc, "_pi_weights",
+                            lambda *args: pytest.fail("weights built"))
+        mu = InitialMeasure.uniform(1.0)
+        assert mc.p_moment_upper(0.5, [0.0, 0.0], 2.0, mu, spec) == math.inf
+
     def test_upper_bound_rejects_small_p(self, spec_d1):
         from torpam.pam_solver import InitialMeasure
 
