@@ -330,12 +330,21 @@ def _interp_pair(matrix, q, x, x_prime):
 
 
 def _f_table(spec, kmax):
-    xs = grid_points(8192, 1)[:, 0]
-    return xs, covariance_truncated(spec, xs[:, None], kmax)
+    """f on the n = 8192 nodes -pi + 2 pi j / n, and f_{j+1} - f_j mod n."""
+    f = covariance_truncated(spec, grid_points(8192, 1), kmax)
+    return f, np.roll(f, -1) - f
 
 
-def _table_lookup(xs, vals, x):
-    return np.interp(signed_mod(x), xs, vals, period=TWO_PI)
+def _table_lookup(f, df, x):
+    """Periodic linear interpolation of the table at x, by indexing: x
+    lies in cell j = floor(s) at offset s - j, s = (x + pi) n / (2 pi)."""
+    if not np.all(np.abs(x) < 1e15):  # so that j fits an int64
+        raise DomainError("the covariance table needs finite |x| < 1e15")
+    s = (x + math.pi) * (f.size / TWO_PI)
+    j = np.floor(s)
+    s -= j
+    j = j.astype(np.intp) & (f.size - 1)  # n is a power of 2
+    return np.take(f, j) + s * np.take(df, j)
 
 
 # Normals per block of the pair walk, both walkers together: 2^16 doubles
@@ -360,7 +369,7 @@ def _pair_walk(spec, kmax, x0, n_paths, stops, dt_bm, rng):
     """
     if n_paths < 2:
         raise DomainError(f"a standard error needs n_paths >= 2, got {n_paths}")
-    xs_tab, f_tab = _f_table(spec, kmax)
+    f_tab, df_tab = _f_table(spec, kmax)
     m = max(1, _PAIR_BLOCK // (2 * n_paths))
     root = math.sqrt(dt_bm)
     ends = np.full((2, n_paths), x0)  # B, B' at the block start
@@ -374,7 +383,7 @@ def _pair_walk(spec, kmax, x0, n_paths, stops, dt_bm, rng):
         rng.standard_normal(out=pos[1:])
         pos[1:] *= root
         np.cumsum(pos, axis=0, out=pos)
-        sums = _table_lookup(xs_tab, f_tab, pos[:-1, 0] - pos[:-1, 1])
+        sums = _table_lookup(f_tab, df_tab, pos[:-1, 0] - pos[:-1, 1])
         sums[0] += acc
         np.cumsum(sums, axis=0, out=sums)
         ends, acc = signed_mod(pos[-1]), sums[-1]
@@ -399,6 +408,8 @@ def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
     """
     if spec.d != 1:
         raise DomainError("the pair estimator is implemented for d = 1")
+    if np.size(x) != 1:
+        raise DomainError(f"the pair estimator takes one point, got {x}")
     x0 = float(np.atleast_1d(x)[0])
     mu.density_at(x0)  # refuses atoms before the walk
     n_steps = whole_steps(t, dt_bm, "horizon t", "dt_bm")
@@ -443,6 +454,8 @@ def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0):
         raise DomainError("implemented for d = 1")
     if not np.all(np.isfinite(t_list)):
         raise DomainError(f"horizons must be finite, got {t_list}")
+    if not dt_bm > 0:
+        raise DomainError(f"dt_bm = {dt_bm:g} must be positive")
     t_list = sorted(float(t) for t in np.atleast_1d(t_list))
     steps = [int(round(t / dt_bm)) for t in t_list]
     if steps[0] < 1:

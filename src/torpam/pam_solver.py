@@ -133,6 +133,8 @@ def whole_steps(t, dt, t_name, dt_name):
     for name, value in ((t_name, t), (dt_name, dt)):
         if not np.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value:g}")
+    if dt <= 0:
+        raise DomainError(f"{dt_name} = {dt:g} must be positive")
     n = int(round(t / dt))
     if abs(n * dt - t) > 1e-9 * abs(t):
         raise DomainError(f"{t_name} = {t:g} is not a whole number of steps "

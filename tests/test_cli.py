@@ -330,6 +330,9 @@ class TestBadInput:
         (["mc-moments", *S, "--threads", "0"], "threads must be >= 1"),
         (["ergodic-check", *S, "--n-paths", "1"], "needs n_paths >= 2"),
         (["feynman-kac", *S, "--n-paths", "0"], "needs n_paths >= 2"),
+        (["feynman-kac", *S, "--dt-bm", "0"], "dt_bm = 0 must be positive"),
+        (["feynman-kac", *S, "--dt-bm", "-0.01"],
+         "dt_bm = -0.01 must be positive"),
     ])
     def test_refused_in_compute_writes_nothing(self, tmp_path, capsys, argv,
                                                message):

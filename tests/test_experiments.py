@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from torpam import experiments as ex
 from torpam import moment_calculus as mc
-from torpam.covariance import NoiseSpec
+from torpam.covariance import NoiseSpec, covariance_truncated
 from torpam.errors import DomainError
 from torpam.heat_kernel import TWO_PI, signed_mod
 from torpam.noise_field import grid_points, step_rng
@@ -309,16 +309,31 @@ class TestErgodic:
                            r"100 steps reach 1$"):
             ex.ergodic_average_check(spec, [1.004], 4, dt_bm=0.01)
 
+    @pytest.mark.parametrize("dt_bm", [0.0, -0.01])
+    def test_non_positive_step_refused(self, dt_bm):
+        spec = NoiseSpec(d=1, alpha=0.3, rho=2.0, lam=1.0)
+        with pytest.raises(DomainError, match="^dt_bm = .* must be positive"):
+            ex.ergodic_average_check(spec, [1.0], 4, dt_bm=dt_bm)
+
+
+TABLE_NODES = grid_points(8192, 1)[:, 0]
+
+
+def interp_lookup(f, x):
+    """The table read by np.interp: wrap, sort and binary search."""
+    return np.interp(signed_mod(x), TABLE_NODES, f, period=TWO_PI)
+
 
 def reference_pair_walk(spec, kmax, x0, n_paths, n_steps, dt_bm, rng):
-    """One step per iteration, wrapping every step: the walk before blocking."""
-    xs_tab, f_tab = ex._f_table(spec, kmax)
+    """One step per iteration, wrapping every step and reading the table
+    by np.interp: the walk before blocking and before direct indexing."""
+    f_tab, _ = ex._f_table(spec, kmax)
     b1 = np.full(n_paths, x0)
     b2 = b1.copy()
     acc = np.zeros(n_paths)
     root = math.sqrt(dt_bm)
     for step_i in range(1, n_steps + 1):
-        acc += ex._table_lookup(xs_tab, f_tab, b1 - b2)
+        acc += interp_lookup(f_tab, b1 - b2)
         steps = rng.standard_normal((2, n_paths)) * root
         b1 = signed_mod(b1 + steps[0])
         b2 = signed_mod(b2 + steps[1])
@@ -326,11 +341,28 @@ def reference_pair_walk(spec, kmax, x0, n_paths, n_steps, dt_bm, rng):
 
 
 class TestBlockedPairWalk:
-    def test_table_nodes_increase(self, spec_d1):
-        # np.interp needs increasing nodes
-        xs, vals = ex._f_table(spec_d1, 16)
-        assert xs.shape == vals.shape == (8192,)
-        assert np.all(np.diff(xs) > 0.0)
+    def test_table_is_f_at_the_nodes(self, spec_d1):
+        f, df = ex._f_table(spec_d1, 16)
+        assert f.shape == df.shape == (8192,)
+        assert np.array_equal(
+            f, covariance_truncated(spec_d1, TABLE_NODES[:, None], 16))
+        assert np.array_equal(df, np.append(f[1:], f[0]) - f)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.9])
+    def test_lookup_matches_np_interp(self, rng, alpha):
+        f, df = ex._f_table(NoiseSpec(d=1, alpha=alpha, rho=2.0, lam=1.0), 16)
+        x = np.concatenate([
+            rng.uniform(-5 * np.pi, 5 * np.pi, 100_000), TABLE_NODES,
+            [-np.pi, np.pi], np.nextafter(TABLE_NODES, -np.inf),
+            np.nextafter(TABLE_NODES, np.inf)])
+        gap = np.abs(ex._table_lookup(f, df, x) - interp_lookup(f, x))
+        assert np.max(gap) <= 1e-13 * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    def test_lookup_refuses_non_finite(self, spec_d1, bad):
+        f, df = ex._f_table(spec_d1, 16)
+        with pytest.raises(DomainError, match=r"needs finite \|x\| < 1e15"):
+            ex._table_lookup(f, df, np.array([[0.1, bad], [0.2, 0.3]]))
 
     def test_block_draw_equals_step_draws(self):
         block = np.empty((7, 2, 30))
@@ -403,6 +435,12 @@ class TestFeynmanKacHorizon:
         with pytest.raises(DomainError,
                            match=r"t = 0\.5 .*dt_bm = 0\.3.* reach 0\.6"):
             ex.feynman_kac_second_moment(spec_d1, mu, 0.5, [0.0], 10, 0.3)
+
+
+def test_feynman_kac_refuses_more_than_one_coordinate(spec_d1):
+    with pytest.raises(DomainError, match="takes one point"):
+        ex.feynman_kac_second_moment(spec_d1, InitialMeasure.uniform(1.0),
+                                     0.5, [0.3, 2.0], 10, 0.01)
 
 
 def reference_holder(config, mu, seed, n_paths, time_lags, space_lags):

@@ -170,6 +170,11 @@ class TestConfig:
             ps.SolverConfig(spec=heat_spec(), grid_n=49, mode_k=16, dt=dt,
                             t_final=t_final)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_non_positive_step_refused_before_dividing(self, dt):
+        with pytest.raises(DomainError, match=r"^dt_bm = .* must be positive"):
+            ps.whole_steps(1.0, dt, "horizon t", "dt_bm")
+
     def test_dalang_refusal(self):
         bad = NoiseSpec(d=3, alpha=0.5, rho=1.0, lam=1.0)
         with pytest.raises(DomainError):
