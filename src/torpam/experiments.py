@@ -282,6 +282,10 @@ def two_point(spec, mu, t, x, x_prime, n_max=3, kmax=16):
         raise DomainError("two_point quadrature is restricted to d = 1")
     if n_max > 3:
         raise DomainError("n_max > 3 exceeds the intended quadrature cost")
+    for name, point in (("x", x), ("x_prime", x_prime)):
+        if np.size(point) != 1:
+            raise DomainError(f"two_point takes one coordinate for {name}, "
+                              f"got {point}")
     t_nodes, q_grid_n = 21, 33
     q = grid_points(q_grid_n, 1)[:, 0]
     mu_vals = mu.density_at(q)

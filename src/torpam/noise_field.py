@@ -149,14 +149,19 @@ class IncrementSampler:
         """Hermitian mode tensor(s) of one increment; batch leading axis.
 
         Flattened, the cube is the mirrored half lattice, the zero mode,
-        then the half lattice, so each part is written as one slice."""
+        then the half lattice, so each part is written as one slice.  The
+        half lattice holds amp * (g1 + i g2) / sqrt(2), written in place
+        one part at a time; numpy divides a complex by a real as a product
+        with the reciprocal, so scaling by 1 / sqrt(2) gives the same bits."""
         h = len(self.half)
         squeeze = n_batch is None
         nb = 1 if squeeze else n_batch
         g = rng.standard_normal((nb, 2 * h + 1))
-        xi = (g[:, 1:h + 1] + 1j * g[:, h + 1:]) / np.sqrt(2.0)
         modes = np.empty((nb, 2 * h + 1), dtype=complex)
-        np.multiply(self.amp_half, xi, out=modes[:, h + 1:])
+        xi = modes[:, h + 1:]
+        for part, normals in ((xi.real, g[:, 1:h + 1]), (xi.imag, g[:, h + 1:])):
+            np.multiply(normals, 1 / np.sqrt(2.0), out=part)
+            np.multiply(self.amp_half, part, out=part)
         np.conjugate(modes[:, :h:-1], out=modes[:, :h])
         modes[:, h] = self.amp_zero * g[:, 0]
         modes = modes.reshape((nb,) + self.cube)

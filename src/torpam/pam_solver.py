@@ -11,10 +11,18 @@ coupling) on exactly the solver's retained mode set, so the discrete Ito
 isometry matches the sampled covariance.  The product u dW is formed on
 the grid, which must hold 3*kmax+1 points so the retained modes of the
 product are alias-free.
+
+A step's noise depends only on its (seed, stream, step) key, never on the
+field, so a batch large enough to pay for the hand-off (at least
+``_PREFETCH_MIN`` grid values per step) draws and synthesizes the next
+step's noise on one worker thread while the current step runs.  The same
+calls are made on the same keys either way, so every output bit is too.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -205,11 +213,56 @@ def initial_field(config, mu):
     return j0(t0, grid_points(n, d), mu, d=d).reshape(shape), t0
 
 
+# a step carrying at least this many grid values (paths x grid points)
+# draws the next step's noise on a worker thread; on smaller batches the
+# hand-off between threads costs more than the overlap saves.  On a 2-CPU
+# Xeon VM (d = 1) the hand-off paid from ~2^13 values at grid 192 and from
+# ~2^17 at grid 64; this lies between the two crossovers
+_PREFETCH_MIN = 2**16
+
+
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform restricts affinity
+        return os.cpu_count() or 1
+
+
+def _prefetch(items):
+    """Yield the items of the iterator ``items``, computing each next one
+    on a worker thread while the caller works on the current one.  An
+    error on the worker re-raises here; closing the generator waits for
+    the worker and ends its thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = [pool.submit(next, items, None)]
+        while ahead[0].result() is not None:
+            ahead.append(pool.submit(next, items, None))
+            # popped, so that only the caller holds the item it is given
+            yield ahead.pop(0).result()
+
+
+def _increments(sampler, seed, stream, n_paths, n_steps):
+    """Each step's noise increment on the grid for all paths, drawn from
+    the step's own (seed, stream, step) Philox key."""
+    for nstep in range(n_steps):
+        rng = step_rng(seed, nstep, stream=stream)
+        yield modes_to_grid(sampler.sample_modes(rng, n_batch=n_paths),
+                            sampler.kmax, sampler.grid_n, sampler.spec.d)
+
+
 def _march(config, mu, seed, n_paths, output_times, stream=0):
     """Exponential-Euler march of n_paths fields batched over the grid:
     yields ``(t, u, keep)`` at the start and after every step, u indexed
     (path, grid...) and ``keep`` marking the requested output times.
-    Raises NumericsError naming the first step with a non-finite field."""
+    Raises NumericsError naming the first step with a non-finite field.
+
+    The noise increments come from one generator over the steps; with at
+    least ``_PREFETCH_MIN`` grid values per step and more than one CPU it
+    runs a step ahead on a worker thread, which ends when the march does,
+    is closed or raises."""
     config.spec.require_dalang()
     u0, t_start = initial_field(config, mu)
     u = np.broadcast_to(u0, (n_paths,) + u0.shape).copy()
@@ -219,19 +272,26 @@ def _march(config, mu, seed, n_paths, output_times, stream=0):
     d, kmax, n = config.spec.d, config.mode_k, config.grid_n
     lam = config.spec.lam
     keep = _output_mask(config, t_start, output_times)
+    noise = _increments(sampler, seed, stream, n_paths, config.n_steps)
+    if n_paths * n**d >= _PREFETCH_MIN and _cpu_count() > 1:
+        noise = _prefetch(noise)
     yield t_start, u, keep[0]
-    for nstep in range(config.n_steps):
-        rng = step_rng(seed, nstep, stream=stream)
-        dw_modes = sampler.sample_modes(rng, n_batch=n_paths)
-        dw = modes_to_grid(dw_modes, kmax, n, d)
-        prod = grid_to_modes(u * dw, kmax, n, d)
-        u_modes = grid_to_modes(u, kmax, n, d)
-        u = modes_to_grid(heat * (u_modes + lam * prod), kmax, n, d)
-        t_now = t_start + (nstep + 1) * config.dt
-        if not np.isfinite(u).all():
-            raise NumericsError(f"non-finite field after step {nstep + 1}"
-                                f" of {config.n_steps} (t = {t_now:g})")
-        yield t_now, u, keep[nstep + 1]
+    with closing(noise):
+        for nstep, dw in enumerate(noise):
+            # heat * (u_modes + lam * prod) to the bit, in place and with
+            # dw freed early, so few step temporaries are alive while the
+            # next step's noise is being drawn
+            prod = grid_to_modes(np.multiply(u, dw, out=dw), kmax, n, d)
+            del dw
+            prod *= lam
+            prod += grid_to_modes(u, kmax, n, d)
+            prod *= heat
+            u = modes_to_grid(prod, kmax, n, d)
+            t_now = t_start + (nstep + 1) * config.dt
+            if not np.isfinite(u).all():
+                raise NumericsError(f"non-finite field after step {nstep + 1}"
+                                    f" of {config.n_steps} (t = {t_now:g})")
+            yield t_now, u, keep[nstep + 1]
 
 
 def solve(config, mu, seed, output_times=None):

@@ -228,6 +228,13 @@ class TestTwoPoint:
             ex.two_point(spec_d1, InitialMeasure.delta([0.0], 0.01),
                          0.5, [0.0], [0.0])
 
+    @pytest.mark.parametrize("x, x_prime, name", [([0.4, 9.0], [-1.0, 5.0], "x"),
+                                                  ([0.4], [-1.0, 5.0], "x_prime")])
+    def test_refuses_more_than_one_coordinate(self, spec_d1, x, x_prime, name):
+        with pytest.raises(DomainError, match=f"one coordinate for {name},"):
+            ex.two_point(spec_d1, InitialMeasure.uniform(1.0), 0.5, x, x_prime,
+                         n_max=1)
+
 
 @pytest.mark.parametrize("n", [16, 33, 64])
 def test_constant_density_reads_as_uniform(spec_d1, n):

@@ -122,6 +122,16 @@ class TestSampler:
         frozen = _scattered_cube(sampler, nf.step_rng(8, 3, 1), n_batch or 1)
         assert modes.tobytes() == (frozen if n_batch else frozen[0]).tobytes()
 
+    @pytest.mark.parametrize("d, kmax, n_batch", [(1, 16, 4000), (2, 8, 300)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sample_modes_bitwise_at_solver_batches(self, d, kmax, n_batch,
+                                                    seed):
+        spec = NoiseSpec(d=d, alpha=0.3 if d == 1 else 0.8, rho=1.0)
+        sampler = nf.IncrementSampler(spec, kmax, 3 * kmax + 1, 1 / 256)
+        modes = sampler.sample_modes(nf.step_rng(seed, 0), n_batch=n_batch)
+        frozen = _scattered_cube(sampler, nf.step_rng(seed, 0), n_batch)
+        assert modes.tobytes() == frozen.tobytes()
+
     def test_determinism(self, spec_d1):
         a = nf.sample_increment(spec_d1, 16, 0.1, 33, seed=42, step=3)
         b = nf.sample_increment(spec_d1, 16, 0.1, 33, seed=42, step=3)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from torpam import pam_solver as ps
 from torpam.covariance import NoiseSpec
 from torpam.errors import AliasingError, DomainError, NumericsError
 from torpam.heat_kernel import TWO_PI, heat_kernel
-from torpam.noise_field import grid_points
+from torpam.noise_field import (IncrementSampler, grid_points, grid_to_modes,
+                                modes_to_grid, step_rng)
 
 PI = math.pi
 
@@ -371,3 +373,94 @@ class TestOutputTimes:
         mu = ps.InitialMeasure.delta([0.0], 0.05)
         traj = ps.solve(self.cfg, mu, seed=0, output_times=[0.05, 0.08, 0.15])
         assert traj.times.tolist() == [0.05, 0.05 + 3 * 0.01, 0.05 + 10 * 0.01]
+
+
+def _reference_march(cfg, mu, seed, n_paths):
+    """The exponential-Euler step written out plainly, one draw per step:
+    the field at t_final."""
+    d, kmax, n = cfg.spec.d, cfg.mode_k, cfg.grid_n
+    u0, _ = ps.initial_field(cfg, mu)
+    u = np.broadcast_to(u0, (n_paths,) + u0.shape).copy()
+    heat = ps._heat_factor(cfg)
+    sampler = IncrementSampler(cfg.spec, kmax, n, cfg.dt)
+    for nstep in range(cfg.n_steps):
+        modes = sampler.sample_modes(step_rng(seed, nstep), n_batch=n_paths)
+        dw = modes_to_grid(modes, kmax, n, d)
+        prod = grid_to_modes(u * dw, kmax, n, d)
+        u_modes = grid_to_modes(u, kmax, n, d)
+        u = modes_to_grid(heat * (u_modes + cfg.spec.lam * prod), kmax, n, d)
+    return u
+
+
+class TestPrefetch:
+    """Batches of at least ps._PREFETCH_MIN grid values draw the next step's
+    noise on a worker thread; the host is taken to have two CPUs so the
+    worker runs wherever the tests do."""
+
+    cfg = ps.SolverConfig(spec=NoiseSpec(d=1, alpha=0.3, rho=1.0, lam=1.0),
+                          grid_n=64, mode_k=16, dt=0.01, t_final=0.1)
+    n_paths = 1100  # x 64 grid points >= 2**16
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(ps, "_cpu_count", lambda: 2)
+
+    @pytest.mark.parametrize("d, n_paths, grid_n, mode_k",
+                             [(1, 1100, 64, 16), (2, 300, 16, 5)])
+    def test_fields_equal_serial_path(self, monkeypatch, d, n_paths, grid_n,
+                                      mode_k):
+        spec = NoiseSpec(d=d, alpha=0.3 if d == 1 else 0.8, rho=1.0, lam=1.0)
+        cfg = ps.SolverConfig(spec=spec, grid_n=grid_n, mode_k=mode_k,
+                              dt=0.01, t_final=0.05)
+        mu = ps.InitialMeasure.delta([0.3] * d, 0.05)
+        prefetches = []
+        prefetch = ps._prefetch
+        monkeypatch.setattr(ps, "_prefetch",
+                            lambda items: prefetches.append(1) or prefetch(items))
+        runs = []
+        for least in (ps._PREFETCH_MIN, n_paths * grid_n**d + 1):
+            monkeypatch.setattr(ps, "_PREFETCH_MIN", least)
+            times, fields = ps.solve_ensemble(cfg, mu, 7, n_paths, [0.1])
+            runs.append((times.tobytes(), fields[-1].tobytes()))
+        assert prefetches == [1]
+        assert runs[0] == runs[1]
+        assert runs[0][1] == _reference_march(cfg, mu, 7, n_paths).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_error_mid_march_ends_the_worker(self):
+        cfg = ps.SolverConfig(spec=NoiseSpec(d=1, alpha=0.3, rho=1.0,
+                                             lam=1e200),
+                              grid_n=64, mode_k=16, dt=0.01, t_final=0.1)
+        start = threading.active_count()
+        march = ps._march(cfg, ps.InitialMeasure.uniform(1.0), 0,
+                          self.n_paths, None)
+        next(march), next(march)
+        assert threading.active_count() == start + 1
+        with pytest.raises(NumericsError, match="step 2 of 10"):
+            next(march)
+        assert threading.active_count() == start
+
+    def test_closing_the_march_ends_the_worker(self):
+        start = threading.active_count()
+        march = ps._march(self.cfg, ps.InitialMeasure.uniform(1.0), 0,
+                          self.n_paths, None)
+        for _ in range(3):
+            next(march)
+        assert threading.active_count() == start + 1
+        march.close()
+        assert threading.active_count() == start
+
+    def test_noise_error_reraises_in_the_caller(self, monkeypatch):
+        step_rng = ps.step_rng
+
+        def failing(seed, step, stream=0):
+            if step == 3:
+                raise RuntimeError("draw failed at step 3")
+            return step_rng(seed, step, stream=stream)
+
+        monkeypatch.setattr(ps, "step_rng", failing)
+        start = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed at step 3"):
+            ps.solve_ensemble(self.cfg, ps.InitialMeasure.uniform(1.0), 0,
+                              self.n_paths, None)
+        assert threading.active_count() == start
