@@ -59,7 +59,8 @@ def mc_moments(config, mu, p, n_samples, t_list, x_list, seed=0,
     The ensemble splits into ``n_chunks`` fixed chunks on the noise
     streams 0..n_chunks-1, mapped over a pool of ``threads`` threads; the
     result is bit-identical for any thread count because the chunk layout and
-    the reduction order are fixed.
+    the reduction order are fixed.  Each chunk is reduced to the requested
+    (t, x) columns in its worker, so only those columns are joined.
     """
     if p < 1:
         raise DomainError("moment order p must be >= 1")
@@ -68,31 +69,36 @@ def mc_moments(config, mu, p, n_samples, t_list, x_list, seed=0,
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     per = n_samples // n_chunks
+    pts = grid_points(config.grid_n, config.spec.d)
+    x_req = [np.atleast_1d(np.asarray(x, dtype=float)) for x in x_list]
+    x_idx = [int(np.argmin(np.sum(signed_mod(pts - xa) ** 2, axis=-1)))
+             for xa in x_req]
 
     def run(chunk):
-        return solve_ensemble(config, mu, seed, per, t_list, stream=chunk)
+        # only the requested (t, x) columns of a chunk's stack leave it
+        times, fields = solve_ensemble(config, mu, seed, per, t_list,
+                                       stream=chunk)
+        t_idx = [int(np.argmin(np.abs(times - t)))
+                 for t in np.atleast_1d(t_list)]
+        cols = fields.reshape(len(times), per, -1)[:, :, x_idx]
+        return times[t_idx], cols[t_idx]
 
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(run, range(n_chunks)))
     times = parts[0][0]
-    fields = np.concatenate([pr[1] for pr in parts], axis=1)
-    pts = grid_points(config.grid_n, config.spec.d)
+    cols = np.concatenate([pr[1] for pr in parts], axis=1)  # (t, sample, x)
     out = []
-    for t_req in np.atleast_1d(t_list):
-        ti = int(np.argmin(np.abs(times - t_req)))
-        for x_req in x_list:
-            xa = np.atleast_1d(np.asarray(x_req, dtype=float))
-            xi = int(np.argmin(np.sum(signed_mod(pts - xa) ** 2, axis=-1)))
-            flat = fields[ti].reshape(fields.shape[1], -1)[:, xi]
+    for ti, t in enumerate(times):
+        for xi, xa in enumerate(x_req):
+            flat = cols[ti, :, xi]
             powers = flat**p if p == int(p) and int(p) % 2 == 0 \
                 else np.abs(flat) ** p
             out.append(MomentEstimate(
-                t=float(times[ti]), x=tuple(xa),
-                x_grid=tuple(pts[xi].tolist()), p=float(p),
-                value=float(np.mean(powers)), std_err=jackknife_se(powers),
-                n_samples=n_samples))
+                t=float(t), x=tuple(xa), x_grid=tuple(pts[x_idx[xi]].tolist()),
+                p=float(p), value=float(np.mean(powers)),
+                std_err=jackknife_se(powers), n_samples=n_samples))
     return out
 
 
@@ -506,6 +512,16 @@ def _structure_slopes(lags, s2):
     return np.polyfit(np.log(lags), y, 1)[0]
 
 
+def _mean_square(diff):
+    """Mean of ``diff**2`` over a (time, x...) slab, squared in place.  The
+    sum runs as numpy's over all but the path axis of a (time, path, x...)
+    stack does, pairwise within each time row and then row by row in time
+    order, so a per-path S2 equals the whole-stack mean bit for bit."""
+    diff *= diff
+    rows = np.add.reduce(diff.reshape(diff.shape[0], -1), axis=1)
+    return np.cumsum(rows)[-1] / diff.size
+
+
 def empirical_holder(config, mu, seed, n_paths=24, t_window=(0.5, 1.0),
                      save_every=4, time_lags=(1, 2, 4, 8, 16, 32),
                      space_lags=(1, 2, 4, 8)):
@@ -517,18 +533,39 @@ def empirical_holder(config, mu, seed, n_paths=24, t_window=(0.5, 1.0),
     mean over paths of one per-path table.  Lags are dyadic multiples of
     the storage stride (time) and of the grid cell (space).  Per-path
     slope scatter gives the confidence width.
+
+    The tables are filled one path at a time: the path's (time, x...) slab
+    is copied out of the stored stack and differenced in a second slab, so
+    the call holds about one stack (18 MB at the CLI defaults) and no
+    temporary of its size.
     """
     if len(time_lags) < 4 or len(space_lags) < 4:
         raise DomainError("need at least 4 lags per direction")
     t0, t1 = t_window
     out_times = np.arange(t0, t1 + 1e-12, config.dt * save_every)
+    for name, lags, bound in (("time", time_lags, len(out_times)),
+                              ("space", space_lags, config.grid_n)):
+        if not 1 <= min(lags) <= max(lags) < bound:
+            raise DomainError(f"{name} lags {tuple(lags)} must lie in "
+                              f"[1, {bound - 1}]")
     times, fields = solve_ensemble(config, mu, seed, n_paths, out_times)
     dt_out = float(times[1] - times[0])
-    axes = (0, *range(2, fields.ndim))  # fields: (time, path, x...)
-    s2_t = np.array([np.mean((fields[lag:] - fields[:-lag]) ** 2, axis=axes)
-                     for lag in time_lags])
-    s2_s = np.array([np.mean((np.roll(fields, -lag, axis=-1) - fields) ** 2,
-                             axis=axes) for lag in space_lags])
+    s2_t = np.empty((len(time_lags), n_paths))
+    s2_s = np.empty((len(space_lags), n_paths))
+    slab = np.empty_like(fields[:, 0])  # one path's (time, x...) fields
+    diff = np.empty_like(slab)
+    for path in range(n_paths):
+        np.copyto(slab, fields[:, path])
+        for i, lag in enumerate(time_lags):
+            d = np.subtract(slab[lag:], slab[:-lag], out=diff[:-lag])
+            s2_t[i, path] = _mean_square(d)
+        for i, lag in enumerate(space_lags):
+            # np.roll(slab, -lag, axis=-1) - slab, written piece by piece
+            np.subtract(slab[..., lag:], slab[..., :-lag],
+                        out=diff[..., :-lag])
+            np.subtract(slab[..., :lag], slab[..., -lag:],
+                        out=diff[..., -lag:])
+            s2_s[i, path] = _mean_square(diff)
     b1 = _structure_slopes(np.array(time_lags) * dt_out, s2_t)
     b2 = _structure_slopes(np.array(space_lags) * (TWO_PI / config.grid_n), s2_s)
     return {

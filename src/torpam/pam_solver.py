@@ -256,7 +256,9 @@ def _increments(sampler, seed, stream, n_paths, n_steps):
 def _march(config, mu, seed, n_paths, output_times, stream=0):
     """Exponential-Euler march of n_paths fields batched over the grid:
     yields ``(t, u, keep)`` at the start and after every step, u indexed
-    (path, grid...) and ``keep`` marking the requested output times.
+    (path, grid...).  The first item's ``keep`` is the mask of the requested
+    output times over all n_steps + 1 fields, so a collector can size its
+    output before the first step; each later item's is its own entry.
     Raises NumericsError naming the first step with a non-finite field.
 
     The noise increments come from one generator over the steps; with at
@@ -275,7 +277,7 @@ def _march(config, mu, seed, n_paths, output_times, stream=0):
     noise = _increments(sampler, seed, stream, n_paths, config.n_steps)
     if n_paths * n**d >= _PREFETCH_MIN and _cpu_count() > 1:
         noise = _prefetch(noise)
-    yield t_start, u, keep[0]
+    yield t_start, u, keep
     with closing(noise):
         for nstep, dw in enumerate(noise):
             # heat * (u_modes + lam * prod) to the bit, in place and with
@@ -294,36 +296,62 @@ def _march(config, mu, seed, n_paths, output_times, stream=0):
             yield t_now, u, keep[nstep + 1]
 
 
+def _collect(march, after_step=None):
+    """The kept times and fields of ``march``, in march order, written into
+    a (n_out,) time array and one C-contiguous (n_out, path, grid...) stack,
+    both allocated once from the mask the march's first item carries, so
+    each kept field is copied once.  ``after_step``, if given, sees the
+    field after every step."""
+    t, u, keep = next(march)
+    times = np.empty(np.count_nonzero(keep))
+    fields = np.empty(times.shape + u.shape)
+    row = 0
+    if keep[0]:
+        times[0], fields[0], row = t, u, 1
+    for t, u, kept in march:
+        if after_step is not None:
+            after_step(u)
+        if kept:
+            times[row], fields[row] = t, u
+            row += 1
+    return times, fields
+
+
 def solve(config, mu, seed, output_times=None):
     """Simulate one trajectory; deterministic given (config, mu, seed).
 
-    The one-path case of :func:`solve_ensemble`, plus a count of the steps
-    after which the field has a negative value."""
-    out_times, fields, neg = [], [], 0
-    march = _march(config, mu, seed, 1, output_times)
-    for nstep, (t, u, keep) in enumerate(march):
-        if keep:
-            fields.append(u[0].copy())
-            out_times.append(t)
-        if nstep:
-            neg += int(np.min(u) < 0)
-    return Trajectory(times=np.asarray(out_times), fields=np.asarray(fields),
-                      seed=int(seed), config=config,
-                      positivity_violations=neg)
+    The one-path case of :func:`solve_ensemble`, with fields indexed
+    (time, grid...), plus a count of the steps after which the field has a
+    negative value."""
+    negative = []
+    times, fields = _collect(
+        _march(config, mu, seed, 1, output_times),
+        after_step=lambda u: negative.append(np.min(u) < 0))
+    return Trajectory(times=times, fields=fields[:, 0], seed=int(seed),
+                      config=config, positivity_violations=int(sum(negative)))
 
 
 def _output_mask(config, t_start, output_times):
     n = config.n_steps
     if output_times is None:
         return np.ones(n + 1, dtype=bool)
+    requested = np.atleast_1d(output_times)
+    if requested.size == 0:
+        raise DomainError("output_times is empty; pass None to keep every "
+                          "step")
     mask = np.zeros(n + 1, dtype=bool)
     dt, t_end = config.dt, t_start + n * config.dt
-    for t in np.atleast_1d(output_times):
+    for t in requested:
         if not t_start - dt / 2 <= t <= t_end + dt / 2:
             raise DomainError(f"output time {t:g} lies outside the march "
                               f"[{t_start:g}, {t_end:g}]")
-        mask[whole_steps(t - t_start, dt, f"output time {t:g} less the "
-                         f"march start {t_start:g}", "dt")] = True
+        step = whole_steps(t - t_start, dt, f"output time {t:g} less the "
+                           f"march start {t_start:g}", "dt")
+        if mask[step]:
+            raise DomainError(f"output times {requested.tolist()} round to "
+                              f"the same step of dt = {dt:g}, at "
+                              f"t = {t_start + step * dt:g}")
+        mask[step] = True
     return mask
 
 
@@ -332,13 +360,9 @@ def solve_ensemble(config, mu, seed, n_paths, output_times, stream=0):
 
     Per-step noise uses one Philox stream keyed by (stream, step index)
     and draws all paths at once; disjoint ``stream`` ids give independent
-    ensembles for the same seed.  Returns (times, fields) with fields
-    indexed (time, path, grid...).
+    ensembles for the same seed.  Returns (times, fields): the output times
+    in march order and one C-contiguous float64 stack indexed (time, path,
+    grid...), allocated once and written field by field, so the call holds
+    little more than the stack itself.
     """
-    outs, out_times = [], []
-    for t, u, keep in _march(config, mu, seed, n_paths, output_times,
-                             stream):
-        if keep:
-            outs.append(u.copy())
-            out_times.append(t)
-    return np.asarray(out_times), np.asarray(outs)
+    return _collect(_march(config, mu, seed, n_paths, output_times, stream))

@@ -333,6 +333,10 @@ class TestBadInput:
         (["feynman-kac", *S, "--dt-bm", "0"], "dt_bm = 0 must be positive"),
         (["feynman-kac", *S, "--dt-bm", "-0.01"],
          "dt_bm = -0.01 must be positive"),
+        (["simulate", *S, "--t-out", "0.5,0.5"],
+         "output times [0.5, 0.5] round to the same step"),
+        (["mc-moments", *S, "--t-list", "0.5,0.5"],
+         "output times [0.5, 0.5] round to the same step"),
     ])
     def test_refused_in_compute_writes_nothing(self, tmp_path, capsys, argv,
                                                message):

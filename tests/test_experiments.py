@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,33 @@ class TestMcMoments:
         with pytest.raises(DomainError, match="d = 2"):
             ex.covariance_infimum(NoiseSpec(d=2, alpha=0.8, rho=5.0),
                                   n_grid=16)
+
+
+class TestChunkColumns:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n_chunks, threads", [(1, 1), (1, 2), (4, 1),
+                                                   (4, 2)])
+    def test_equal_to_chunks_of_the_ensemble(self, spec_d1, p, n_chunks,
+                                             threads):
+        cfg = solver_config(spec_d1, grid_n=16, mode_k=4, dt=0.02,
+                            t_final=0.2)
+        mu = InitialMeasure.uniform(1.0)
+        t_list, x_list = [0.2, 0.1], [[0.0], [1.0]]
+        ests = ex.mc_moments(cfg, mu, p, 16, t_list, x_list, seed=5,
+                             n_chunks=n_chunks, threads=threads)
+        per = 16 // n_chunks
+        stacks = [solve_ensemble(cfg, mu, 5, per, t_list, stream=c)[1]
+                  for c in range(n_chunks)]
+        fields = np.concatenate(stacks, axis=1)  # (time, path, x)
+        xs = grid_points(16, 1)[:, 0]
+        expected = []
+        for ti, t in ((1, 0.2), (0, 0.1)):
+            for x in x_list:
+                xi = int(np.argmin(np.abs(signed_mod(xs - x[0]))))
+                powers = np.abs(fields[ti, :, xi]) ** p
+                expected.append((t, float(np.mean(powers)),
+                                 ex.jackknife_se(powers)))
+        assert [(e.t, e.value, e.std_err) for e in ests] == expected
 
 
 class TestThreadCount:
@@ -499,8 +527,43 @@ class TestHolder:
         assert rep["beta1_hat"] >= 0.9
         assert rep["beta2_hat"] >= 0.9
 
+    @pytest.mark.parametrize("lags, message", [
+        ({"time_lags": (1, 2, 4, 129)}, r"time lags .* \[1, 128\]"),
+        ({"time_lags": (0, 1, 2, 4)}, r"time lags .* \[1, 128\]"),
+        ({"space_lags": (1, 2, 4, 64)}, r"space lags .* \[1, 63\]")])
+    def test_lags_beyond_the_data_are_refused(self, spec_d1, lags, message):
+        # 129 stored times on a 64-point grid
+        cfg = solver_config(spec_d1, t_final=1.0)
+        with pytest.raises(DomainError, match=message):
+            ex.empirical_holder(cfg, InitialMeasure.uniform(1.0), seed=0,
+                                save_every=1, **lags)
+
     def test_lag_count_guard(self, spec_d1):
         cfg = solver_config(spec_d1)
         with pytest.raises(DomainError):
             ex.empirical_holder(cfg, InitialMeasure.uniform(1.0), seed=0,
                                 time_lags=(1, 2, 4), space_lags=(1, 2, 4, 8))
+
+    @pytest.mark.parametrize("d, grid_n, mode_k", [(1, 192, 63), (2, 16, 5)])
+    def test_holds_about_one_stack(self, d, grid_n, mode_k):
+        # 129 stored times of 16 paths; the S2 tables go through two
+        # (time, x...) slabs besides the solver's step arrays
+        spec = NoiseSpec(d=d, alpha=0.3 if d == 1 else 0.8, rho=1.0, lam=1.0)
+        cfg = SolverConfig(spec=spec, grid_n=grid_n, mode_k=mode_k,
+                           dt=1 / 1024, t_final=1.0)
+        mu = InitialMeasure.uniform(1.0)
+        n_paths, n_out = 16, 129
+
+        def holder():
+            return ex.empirical_holder(cfg, mu, seed=0, n_paths=n_paths)
+
+        holder()  # warm caches; numpy reports its buffers to tracemalloc
+        tracemalloc.start()
+        try:
+            holder()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slab = n_out * grid_n**d * 8
+        step = n_paths * grid_n**d * 16  # one complex field of the batch
+        assert peak <= n_paths * slab + 2 * slab + 16 * step

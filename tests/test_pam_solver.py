@@ -1,5 +1,7 @@
 import math
 import threading
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -374,6 +376,33 @@ class TestOutputTimes:
         traj = ps.solve(self.cfg, mu, seed=0, output_times=[0.05, 0.08, 0.15])
         assert traj.times.tolist() == [0.05, 0.05 + 3 * 0.01, 0.05 + 10 * 0.01]
 
+    @pytest.mark.parametrize("run", ["solve", "solve_ensemble"])
+    def test_empty_times_are_refused(self, run):
+        with pytest.raises(DomainError, match="output_times is empty"):
+            self._run(run, [])
+
+    @pytest.mark.parametrize("run", ["solve", "solve_ensemble"])
+    @pytest.mark.parametrize("t_out", [[0.05, 0.05, 0.0],
+                                       [0.03, 0.03 + 1e-12]])
+    def test_two_times_on_one_step_are_refused(self, run, t_out):
+        with pytest.raises(DomainError, match="round to the same step of "
+                           "dt = 0.01, at t = 0.0[35]"):
+            self._run(run, t_out)
+
+    @pytest.mark.parametrize("run", ["solve", "solve_ensemble"])
+    def test_unsorted_times_come_back_in_march_order(self, run):
+        times, fields = self._run(run, [0.08, 0.0, 0.02])
+        assert times.tolist() == [0.0, 0.02, 0.08]
+        assert len(fields) == 3
+
+    def _run(self, run, t_out):
+        mu = ps.InitialMeasure.uniform(1.0)
+        if run == "solve":
+            traj = ps.solve(self.cfg, mu, seed=0, output_times=t_out)
+            return traj.times, traj.fields
+        return ps.solve_ensemble(self.cfg, mu, seed=0, n_paths=2,
+                                 output_times=t_out)
+
 
 def _reference_march(cfg, mu, seed, n_paths):
     """The exponential-Euler step written out plainly, one draw per step:
@@ -464,3 +493,62 @@ class TestPrefetch:
             ps.solve_ensemble(self.cfg, ps.InitialMeasure.uniform(1.0), 0,
                               self.n_paths, None)
         assert threading.active_count() == start
+
+
+class TestOutputStack:
+    """solve_ensemble returns one C-contiguous float64 stack indexed (time,
+    path, grid...), each field equal to the plainly written march that
+    stops there."""
+
+    @pytest.mark.parametrize("d, grid_n, mode_k", [(1, 32, 8), (2, 16, 5)])
+    @pytest.mark.parametrize("output_times", [None, [0.06, 0.0, 0.1]])
+    def test_stack_equals_reference_march(self, d, grid_n, mode_k,
+                                          output_times):
+        spec = NoiseSpec(d=d, alpha=0.3 if d == 1 else 0.8, rho=1.0, lam=1.0)
+        cfg = ps.SolverConfig(spec=spec, grid_n=grid_n, mode_k=mode_k,
+                              dt=0.02, t_final=0.1)
+        mu = ps.InitialMeasure.uniform(1.0)
+        n_paths = 3
+        times, fields = ps.solve_ensemble(cfg, mu, 4, n_paths, output_times)
+        steps = [0, 3, 5] if output_times else list(range(6))
+        assert times.dtype == fields.dtype == np.float64
+        assert fields.flags.c_contiguous
+        assert fields.shape == (len(steps), n_paths) + (grid_n,) * d
+        assert times.tolist() == [0.02 * k for k in steps]
+        u0, _ = ps.initial_field(cfg, mu)
+        for k, field in zip(steps, fields):
+            ref = (np.broadcast_to(u0, field.shape) if k == 0 else
+                   _reference_march(replace(cfg, t_final=0.02 * k), mu, 4,
+                                    n_paths))
+            assert field.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    def test_one_path_fields_are_contiguous(self):
+        traj = ps.solve(TestOutputTimes.cfg, ps.InitialMeasure.uniform(1.0),
+                        seed=0, output_times=[0.02, 0.1])
+        assert traj.fields.shape == (2, 16)
+        assert traj.fields.flags.c_contiguous
+
+
+class TestMemory:
+    @pytest.mark.parametrize("grid_n, mode_k", [(64, 16), (192, 63)])
+    def test_solve_ensemble_holds_one_stack(self, grid_n, mode_k):
+        cfg = ps.SolverConfig(spec=NoiseSpec(d=1, alpha=0.3, rho=1.0,
+                                             lam=1.0),
+                              grid_n=grid_n, mode_k=mode_k, dt=1 / 256,
+                              t_final=1.0)
+        n_paths = 16
+
+        def run():
+            return ps.solve_ensemble(cfg, ps.InitialMeasure.uniform(1.0), 0,
+                                     n_paths, None)
+
+        run()  # warm caches; numpy reports its buffers to tracemalloc
+        tracemalloc.start()
+        try:
+            _, fields = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        step = n_paths * grid_n * 16  # one complex field of the batch
+        assert fields.shape == (257, n_paths, grid_n)
+        assert peak <= fields.nbytes + 16 * step
