@@ -1,13 +1,12 @@
 """Spatial covariance of the colored torus noise.
 
-The covariance ``f_{alpha,rho}`` has Fourier weight ``rho`` at mode zero
-and ``|k|^(-2 alpha)`` elsewhere (up to the transform normalization), and
-equivalently a representation as a Gamma-weighted time integral of the
-centered heat kernel.  For ``alpha < d/2`` the Fourier series converges
-only conditionally, so the spectral evaluator splits each weight with an
-incomplete-gamma factor: a rapidly convergent lattice part plus a short
-Gaussian-time integral.  The plain truncated partial sum (what a mode-
-truncated sampler actually realizes) and the independent time-integral
+The covariance ``f_{alpha,rho}`` has the Fourier weights of
+:func:`mode_weight`, and equivalently a representation as a Gamma-weighted
+time integral of the centered heat kernel.  For ``alpha < d/2`` the Fourier
+series converges only conditionally, so the spectral evaluator splits each
+weight with an incomplete-gamma factor: a rapidly convergent lattice part
+plus a short Gaussian-time integral.  The plain truncated partial sum (what
+a mode-truncated sampler realizes) and the independent time-integral
 quadrature are exposed separately.
 """
 
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import DalangViolation, DomainError, SingularityError
 from .heat_kernel import (TWO_PI, as_coords, heat_kernel, signed_mod,
                           theta_eps)
-from .lattice import cube_points, lattice_vectors
+from .lattice import cube_points, lattice_vectors, zeta_lattice
 
 DEFAULT_KMAX = {1: 24, 2: 12, 3: 8}
 
@@ -64,14 +63,22 @@ class NoiseSpec:
             )
 
 
-def fourier_weight(spec, k):
-    """Fourier weight theta_k of f: rho/(2 pi)^{d/2} at k = 0,
-    |k|^{-2 alpha} (2 pi)^{-d/2} otherwise."""
-    karr = np.atleast_1d(np.asarray(k, dtype=float))
-    norm_sq = float(np.sum(karr * karr))
-    if norm_sq == 0.0:
-        return spec.rho * TWO_PI ** (-spec.d / 2.0)
-    return norm_sq ** (-spec.alpha) * TWO_PI ** (-spec.d / 2.0)
+def mode_weight(spec, norm_sq):
+    """Fourier weight theta~_k of the noise on squared lattice norms |k|^2,
+    elementwise: rho at 0 and |k|^{-2 alpha} elsewhere.  The covariance is
+    f(x) = (2 pi)^{-d} sum_k theta~_k e^{ikx}; on the orthonormal modes
+    (2 pi)^{-d/2} e^{ikx} the weight is theta_k = (2 pi)^{-d/2} theta~_k."""
+    norm_sq = np.asarray(norm_sq, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(norm_sq == 0.0, spec.rho, norm_sq ** (-spec.alpha))
+
+
+def _point(spec, x):
+    """Point(s) x reduced to [-pi, pi)^d; refuses a dimension other than d."""
+    xa = signed_mod(as_coords(x))
+    if xa.shape[-1] != spec.d:
+        raise DomainError(f"point has dimension {xa.shape[-1]}, spec has {spec.d}")
+    return xa
 
 
 def _ewald_weights(spec, kmax):
@@ -84,7 +91,7 @@ def _ewald_weights(spec, kmax):
     eta = math.log(1e16) / kmax**2
     vecs = lattice_vectors(spec.d, kmax).astype(float)
     norm_sq = np.sum(vecs * vecs, axis=-1)
-    return eta, vecs, norm_sq ** (-spec.alpha) * special.gammaincc(
+    return eta, vecs, mode_weight(spec, norm_sq) * special.gammaincc(
         spec.alpha, eta * norm_sq)
 
 
@@ -130,11 +137,10 @@ def covariance_eval(spec, x, kmax=None, full_output=False):
 
     With ``full_output`` returns ``(value, tail_bound)``.
     """
-    if kmax is None:
-        kmax = DEFAULT_KMAX.get(spec.d, 8)
-    xa = signed_mod(as_coords(x))
-    if xa.shape[-1] != spec.d:
-        raise DomainError(f"point has dimension {xa.shape[-1]}, spec has {spec.d}")
+    kmax = DEFAULT_KMAX.get(spec.d, 8) if kmax is None else kmax
+    if kmax < 1:
+        raise DomainError(f"kmax = {kmax} must be >= 1 for the spectral split")
+    xa = _point(spec, x)
     if np.all(xa == 0.0) and spec.alpha <= spec.d / 2.0:
         raise SingularityError("f is singular at x = 0 for alpha <= d/2")
 
@@ -152,8 +158,8 @@ def covariance_eval(spec, x, kmax=None, full_output=False):
     r2_tail = float(kmax**2)
     q_tail = special.gammaincc(spec.alpha, eta * r2_tail)
     omega = 2.0 * math.pi ** (spec.d / 2.0) / math.gamma(spec.d / 2.0)
-    shell = omega * max(kmax, 1) ** (spec.d - 1)
-    tail = TWO_PI ** (-spec.d) * q_tail * shell * r2_tail ** (-spec.alpha) * 4.0
+    shell = omega * kmax ** (spec.d - 1)
+    tail = TWO_PI ** (-spec.d) * q_tail * shell * mode_weight(spec, r2_tail) * 4.0
     return value, tail
 
 
@@ -189,10 +195,10 @@ def covariance_truncated(spec, x, kmax):
     This is exactly the covariance realized by a mode-truncated sampler;
     it converges to f only conditionally when alpha < d/2.
     """
-    xa = signed_mod(as_coords(x))
+    xa = _point(spec, x)
     vecs = lattice_vectors(spec.d, kmax).astype(float)
     norm_sq = np.sum(vecs * vecs, axis=-1)
-    direct = np.cos(np.tensordot(xa, vecs.T, axes=([-1], [0]))) @ (norm_sq ** (-spec.alpha))
+    direct = np.cos(np.tensordot(xa, vecs.T, axes=([-1], [0]))) @ mode_weight(spec, norm_sq)
     return TWO_PI ** (-spec.d) * (spec.rho + direct)
 
 
@@ -209,9 +215,7 @@ def covariance_eval_integral(spec, x):
     from scipy import integrate
 
     a, d = spec.alpha, spec.d
-    xa = signed_mod(as_coords(x))
-    if xa.shape[-1] != d:
-        raise DomainError(f"point has dimension {xa.shape[-1]}, spec has {d}")
+    xa = _point(spec, x)
     if np.all(xa == 0.0) and a <= d / 2.0:
         raise SingularityError("f is singular at x = 0 for alpha <= d/2")
     flat = TWO_PI ** (-d)
@@ -276,6 +280,4 @@ def c_alpha_d(spec):
     """C_{alpha,d} = (2 pi)^{-d/2} sum_{k != 0} |k|^{-2 alpha - 2},
     the time-integral budget of the lattice part of k1."""
     spec.require_dalang()
-    from .lattice import zeta_lattice
-
     return TWO_PI ** (-spec.d / 2.0) * zeta_lattice(spec.d, 2.0 * spec.alpha + 2.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moment_calculus as mc
-from .covariance import NoiseSpec, covariance_truncated, grid_minimum
+from .covariance import NoiseSpec, covariance_truncated, grid_minimum, mode_weight
 from .errors import DomainError
 from .heat_kernel import TWO_PI, heat_kernel, signed_mod
 from .lattice import lattice_vectors
@@ -437,10 +437,9 @@ def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
 def fk_jensen_floor(spec, t, kmax=16):
     """exp(lambda^2 int_0^t E f(B_s - B'_s) ds) over the truncated modes:
     the Jensen lower bound for the pair functional started at any x."""
-    vecs = lattice_vectors(1, kmax).astype(float)[:, 0]
-    sq = vecs**2
+    sq = lattice_vectors(1, kmax).astype(float)[:, 0] ** 2
     mean_int = spec.rho * t * TWO_PI ** (-1) + TWO_PI ** (-1) * float(
-        np.sum(sq ** (-spec.alpha - 1.0) * (1.0 - np.exp(-sq * t))))
+        np.sum(mode_weight(spec, sq) / sq * (1.0 - np.exp(-sq * t))))
     return math.exp(spec.lam**2 * mean_int)
 
 
@@ -478,7 +477,7 @@ def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0):
         whole_steps(t, dt_bm, "horizon t", "dt_bm")
     targets = dict(zip(steps, t_list))
     sq = lattice_vectors(1, 16).astype(float)[:, 0] ** 2
-    weights = sq ** (-spec.alpha)
+    weights = mode_weight(spec, sq)
     rows = []
     walk = _pair_walk(spec, 16, 0.0, n_paths, steps, dt_bm,
                       step_rng(seed, 0, stream=2))

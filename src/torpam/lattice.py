@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import DomainError
 
 
 def cube_points(axis, d):
@@ -12,6 +15,13 @@ def cube_points(axis, d):
     order: the last coordinate varies fastest."""
     mesh = np.meshgrid(*[axis] * d, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def cube_norm_sq(d, kmax):
+    """|k|^2 on the cube |k|_inf <= kmax in C order; kmax >= 0."""
+    if kmax < 0:
+        raise DomainError(f"lattice cutoff kmax = {kmax} must be >= 0")
+    return np.sum(cube_points(np.arange(-kmax, kmax + 1), d) ** 2, axis=-1)
 
 
 @lru_cache(maxsize=64)
@@ -23,9 +33,8 @@ def lattice_r2(d, kmax):
     ``r2[i]``.  Radially symmetric sums collapse to a histogram contraction,
     which keeps d = 2 and d = 3 sums cheap.
     """
-    sq = np.sum(cube_points(np.arange(-kmax, kmax + 1), d) ** 2, axis=-1)
-    sq = sq[sq > 0]
-    r2, counts = np.unique(sq, return_counts=True)
+    sq = cube_norm_sq(d, kmax)
+    r2, counts = np.unique(sq[sq > 0], return_counts=True)
     return r2.astype(float), counts.astype(float)
 
 
@@ -33,7 +42,7 @@ def lattice_r2(d, kmax):
 def lattice_vectors(d, kmax):
     """All lattice points with 0 < |k|_inf <= kmax, as an (n, d) int array."""
     pts = cube_points(np.arange(-kmax, kmax + 1), d)
-    return pts[np.any(pts != 0, axis=-1)]
+    return pts[cube_norm_sq(d, kmax) > 0]
 
 
 def zeta_lattice(d, exponent, kmax=128):
@@ -48,9 +57,7 @@ def zeta_lattice(d, exponent, kmax=128):
     r2, counts = lattice_r2(d, kmax)
     main = float(np.sum(counts * r2 ** (-exponent / 2.0)))
     # surface area of the unit sphere in R^d
-    from math import gamma, pi
-
-    omega = 2.0 * pi ** (d / 2.0) / gamma(d / 2.0)
+    omega = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     tail = omega * kmax ** (d - exponent) / (exponent - d)
     tail += 0.5 * omega * kmax ** (d - 1) * kmax ** (-exponent)
     return main + tail

@@ -18,15 +18,16 @@ biases the exponential growth rate at O(dt).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .covariance import NoiseSpec
+from .covariance import NoiseSpec, mode_weight
 from .errors import DomainError, NumericsError
-from .heat_kernel import TWO_PI
-from .lattice import lattice_r2
+from .heat_kernel import TWO_PI, heat_kernel
+from .lattice import lattice_r2, zeta_lattice
 
 # exp(-38) ~ 3e-17: mode sums truncated where the Gaussian factor is below
 # double precision
@@ -66,11 +67,7 @@ def _weighted_heat_sum_small_s(s, spec):
     """sum_{k != 0} |k|^{-2a} e^{-s |k|^2} through the heat-kernel integral
     (1/Gamma(a)) int_s^oo (w - s)^{a-1} [(2 pi)^d G(2w, 0) - 1] dw,
     accurate down to s = 0+ where the direct sum would need huge cutoffs."""
-    import warnings as _w
-
     from scipy import integrate
-
-    from .heat_kernel import heat_kernel
 
     a, d = spec.alpha, spec.d
     origin = np.zeros(d)
@@ -84,8 +81,8 @@ def _weighted_heat_sum_small_s(s, spec):
     top = (1.0 - s) ** a
     tau_knee = min(s**a, top)
     pts = [0.5 * tau_knee, tau_knee, min(4.0 * tau_knee, top)] if tau_knee > 0 else None
-    with _w.catch_warnings():
-        _w.simplefilter("ignore", integrate.IntegrationWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
         head, _ = integrate.quad(
             lambda tau: lattice_tail(s + tau ** (1.0 / a)), 0.0, top,
             epsabs=1e-12, epsrel=1e-10, limit=500, points=pts)
@@ -109,13 +106,12 @@ def k1(s, spec, kmax=None):
         kmax = _k1_kmax(float(np.min(s_arr)), spec.d)
     s_floor = _LOG_CUT / kmax**2
     r2, counts = lattice_r2(spec.d, kmax)
-    w = counts * r2 ** (-spec.alpha)
+    w = counts * mode_weight(spec, r2)
     rows = max(1, _K1_BLOCK // r2.size)
     vals = spec.rho + np.concatenate([
         np.exp(-np.outer(s_arr[i:i + rows], r2)) @ w
         for i in range(0, s_arr.size, rows)])
-    small = s_arr < s_floor
-    for i in np.nonzero(small)[0]:
+    for i in np.flatnonzero(s_arr < s_floor):
         vals[i] = spec.rho + _weighted_heat_sum_small_s(float(s_arr[i]), spec)
     vals *= TWO_PI ** (-spec.d / 2.0)
     return vals if np.ndim(s) else float(vals[0])
@@ -127,14 +123,11 @@ def k1_integral(t, spec):
         raise DomainError("t must be nonnegative")
     spec.require_dalang()
     r2, counts = lattice_r2(spec.d, _integral_kmax(spec.d))
-    w = counts * r2 ** (-spec.alpha - 1.0)
+    w = counts * mode_weight(spec, r2) / r2
     main = float(np.sum(w * (1.0 - np.exp(-t * r2))))
     # beyond the cutoff the (1 - e^{-t r^2}) factor is essentially constant
-    from .lattice import zeta_lattice
-
     r_cut = int(math.sqrt(r2[-1]))
-    tail = zeta_lattice(spec.d, 2.0 * spec.alpha + 2.0, 4 * r_cut) - float(
-        np.sum(counts * r2 ** (-spec.alpha - 1.0)))
+    tail = zeta_lattice(spec.d, 2.0 * spec.alpha + 2.0, 4 * r_cut) - float(np.sum(w))
     tail *= -float(np.expm1(-t * r2[-1]))
     return TWO_PI ** (-spec.d / 2.0) * (spec.rho * t + main + max(tail, 0.0))
 
@@ -154,7 +147,7 @@ def k1_laplace(gamma, spec):
     d, a = spec.d, spec.alpha
     kmax = _laplace_kmax(d)
     r2, counts = lattice_r2(d, kmax)
-    main = float(np.sum(counts * r2 ** (-a) / (r2 + gamma)))
+    main = float(np.sum(counts * mode_weight(spec, r2) / (r2 + gamma)))
 
     omega = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
@@ -244,7 +237,8 @@ def _first_cell_moments(dt, spec):
     w0 = k1_integral(dt, spec) + c_riesz * dt ** (p + 1.0) / (p + 1.0) + dt
     r2, counts = lattice_r2(d, _integral_kmax(d))
     x = dt * r2
-    mode_m1 = float(np.sum(counts * r2 ** (-a) * (1.0 - np.exp(-x) * (1.0 + x)) / (r2 * r2)))
+    mode_m1 = float(np.sum(counts * mode_weight(spec, r2)
+                           * (1.0 - np.exp(-x) * (1.0 + x)) / (r2 * r2)))
     w1 = TWO_PI ** (-d / 2.0) * (spec.rho * dt * dt / 2.0 + mode_m1)
     w1 += c_riesz * dt ** (p + 2.0) / (p + 2.0) + dt * dt / 2.0
     return w0, w1

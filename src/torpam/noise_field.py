@@ -19,10 +19,10 @@ from itertools import product
 
 import numpy as np
 
-from .covariance import covariance_truncated
+from .covariance import covariance_truncated, mode_weight
 from .errors import AliasingError, DomainError
 from .heat_kernel import TWO_PI
-from .lattice import cube_points, lattice_vectors
+from .lattice import cube_norm_sq, cube_points
 
 
 def step_rng(seed, step, stream=0):
@@ -136,13 +136,11 @@ class IncrementSampler:
         self.dt = dt
         # the half lattice: the cube after its centre, in C order, holds
         # one k of each {k, -k} pair (its first nonzero coordinate > 0)
-        cube = cube_points(np.arange(-kmax, kmax + 1), spec.d)
-        self.half = cube[len(cube) // 2 + 1:]
-        norm_sq = np.sum(self.half.astype(float) ** 2, axis=-1)
         d = spec.d
-        self.amp_half = np.sqrt(
-            dt * TWO_PI ** (-d / 2.0) * norm_sq ** (-spec.alpha) * TWO_PI ** (-d / 2.0))
-        self.amp_zero = np.sqrt(dt * TWO_PI ** (-d) * spec.rho)
+        norm_sq = cube_norm_sq(d, kmax)[(2 * kmax + 1) ** d // 2 + 1:]
+        self.amp_half = np.sqrt(dt * TWO_PI ** (-d / 2.0)
+                                * mode_weight(spec, norm_sq) * TWO_PI ** (-d / 2.0))
+        self.amp_zero = np.sqrt(dt * TWO_PI ** (-d) * mode_weight(spec, 0.0))
         self.cube = (2 * kmax + 1,) * d
 
     def sample_modes(self, rng, n_batch=None):
@@ -153,7 +151,7 @@ class IncrementSampler:
         half lattice holds amp * (g1 + i g2) / sqrt(2), written in place
         one part at a time; numpy divides a complex by a real as a product
         with the reciprocal, so scaling by 1 / sqrt(2) gives the same bits."""
-        h = len(self.half)
+        h = len(self.amp_half)
         squeeze = n_batch is None
         nb = 1 if squeeze else n_batch
         g = rng.standard_normal((nb, 2 * h + 1))
@@ -206,14 +204,13 @@ def wiener_functional(increments, phi):
 
 
 def functional_variance(spec, phi_modes):
-    """<phi, phi>_{alpha, rho} from the mode coefficients a_k of phi
-    (phi = (2 pi)^{-d/2} sum a_k e^{ikx}): rho |a_0|^2 + sum |a_k|^2 |k|^{-2a}."""
-    kmax = (phi_modes.shape[-1] - 1) // 2
-    d = phi_modes.ndim
-    vecs = lattice_vectors(d, kmax)
-    norm_sq = np.sum(vecs.astype(float) ** 2, axis=-1)
-    vals = np.abs(phi_modes[tuple(vecs.T + kmax)]) ** 2 * norm_sq ** (-spec.alpha)
-    return float(spec.rho * np.abs(phi_modes[(kmax,) * d]) ** 2 + np.sum(vals))
+    """<phi, phi>_{alpha, rho} = sum_k |a_k|^2 theta~_k from the d-cube of mode
+    coefficients a_k, |k|_inf <= kmax, of phi = (2 pi)^{-d/2} sum a_k e^{ikx}."""
+    shape = phi_modes.shape
+    if len(shape) != spec.d or len(set(shape)) != 1 or shape[0] % 2 == 0:
+        raise DomainError(f"mode tensor {shape} is not a d = {spec.d} cube of odd side")
+    norm_sq = cube_norm_sq(spec.d, shape[0] // 2)
+    return float(np.sum(np.abs(phi_modes.ravel()) ** 2 * mode_weight(spec, norm_sq)))
 
 
 def empirical_covariance(spec, dt, grid_n, n_samples, seed):

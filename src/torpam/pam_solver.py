@@ -30,7 +30,7 @@ import numpy as np
 from .covariance import NoiseSpec
 from .errors import AliasingError, DomainError, NumericsError
 from .heat_kernel import TWO_PI, as_coords, heat_kernel
-from .lattice import cube_points
+from .lattice import cube_norm_sq
 from .noise_field import (IncrementSampler, grid_points, grid_to_modes,
                           modes_to_grid, step_rng)
 
@@ -166,6 +166,8 @@ class SolverConfig:
         if self.dt <= 0 or self.t_final < self.dt:
             raise DomainError("need 0 < dt <= t_final")
         whole_steps(self.t_final, self.dt, "t_final", "dt")
+        if self.mode_k < 0:
+            raise DomainError(f"mode cutoff mode_k = {self.mode_k} must be >= 0")
         need = 3 * self.mode_k + 1
         if self.grid_n < need:
             raise AliasingError(
@@ -191,8 +193,7 @@ class Trajectory:
 
 def _heat_factor(config):
     d, kmax = config.spec.d, config.mode_k
-    ks = np.arange(-kmax, kmax + 1).astype(float)
-    sq = np.sum(cube_points(ks, d) ** 2, axis=-1).reshape((2 * kmax + 1,) * d)
+    sq = cube_norm_sq(d, kmax).reshape((2 * kmax + 1,) * d)
     return np.exp(-sq * config.dt / 2.0)
 
 

@@ -337,6 +337,11 @@ class TestBadInput:
          "output times [0.5, 0.5] round to the same step"),
         (["mc-moments", *S, "--t-list", "0.5,0.5"],
          "output times [0.5, 0.5] round to the same step"),
+        (["cov-eval", *S, "--x", "0.3", "--kmax", "0"], "kmax = 0 must be >= 1"),
+        (["cov-eval", *S, "--x", "0.3", "--kmax", "-3"], "kmax = -3 must be >= 1"),
+        (["feynman-kac", *S, "--kmax", "-2"], "kmax = -2 must be >= 0"),
+        (["simulate", *S, "--mode-k", "-1"], "mode_k = -1 must be >= 0"),
+        (["noise-sample", *S, "--kmax", "-1"], "kmax = -1 must be >= 0"),
     ])
     def test_refused_in_compute_writes_nothing(self, tmp_path, capsys, argv,
                                                message):

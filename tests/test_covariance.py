@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from torpam import covariance as cov
+from torpam import moment_calculus as mc
+from torpam import noise_field as nf
 from torpam.errors import DalangViolation, DomainError, SingularityError
 from torpam.heat_kernel import TWO_PI
-from torpam.lattice import lattice_vectors
+from torpam.lattice import cube_norm_sq, cube_points, lattice_r2, lattice_vectors
 from torpam.noise_field import grid_points, grid_to_modes
 
 PI = math.pi
@@ -41,25 +43,86 @@ class TestNoiseSpec:
 
 
 class TestFourierWeight:
+    """theta~_k of cov.mode_weight, and theta_k = (2 pi)^{-d/2} theta~_k."""
+
     def test_zero_mode(self):
         spec = cov.NoiseSpec(d=1, alpha=0.5, rho=2.0)
-        assert cov.fourier_weight(spec, [0]) == pytest.approx(2.0 / math.sqrt(TWO_PI))
+        assert cov.mode_weight(spec, 0) == 2.0
+        assert TWO_PI ** -0.5 * cov.mode_weight(spec, 0) == pytest.approx(
+            2.0 / math.sqrt(TWO_PI))
 
     def test_unit_mode_2d(self):
         spec = cov.NoiseSpec(d=2, alpha=1.0, rho=0.0)
-        assert cov.fourier_weight(spec, [1, 0]) == pytest.approx(1.0 / TWO_PI)
+        assert TWO_PI**-1 * cov.mode_weight(spec, 1) == pytest.approx(1.0 / TWO_PI)
+        assert cov.mode_weight(spec, 5.0) == pytest.approx(0.2, rel=1e-15)
 
     @given(st.integers(-20, 20), st.integers(-20, 20))
     @settings(max_examples=40)
     def test_reflection_symmetry(self, k1, k2):
         spec = cov.NoiseSpec(d=2, alpha=0.7, rho=0.5)
-        assert cov.fourier_weight(spec, [k1, k2]) == cov.fourier_weight(spec, [-k1, -k2])
+        k = np.array([[k1, k2], [-k1, -k2]])
+        w = cov.mode_weight(spec, np.sum(k * k, axis=-1))
+        assert w[0] == w[1]
+        assert w[0] == pytest.approx(0.5 if k1 == k2 == 0 else (k1 * k1 + k2 * k2) ** -0.7,
+                                     rel=1e-15)
 
     def test_weights_nonnegative(self):
         spec = cov.NoiseSpec(d=2, alpha=0.9, rho=0.3)
-        assert cov.fourier_weight(spec, [0, 0]) >= 0.0
-        assert all(cov.fourier_weight(spec, k) >= 0.0
-                   for k in lattice_vectors(2, 6))
+        w = cov.mode_weight(spec, cube_norm_sq(2, 6))
+        assert w.shape == (13 * 13,) and np.all(w >= 0.0)
+        assert w[len(w) // 2] == 0.3
+
+
+class TestWeightOwner:
+    """Every reader of the weights agrees with cov.mode_weight."""
+
+    @pytest.mark.parametrize("d,kmax", [(1, 12), (2, 5)])
+    def test_sites_agree_with_owner(self, d, kmax):
+        spec = cov.NoiseSpec(d=d, alpha=0.35, rho=0.8)
+        dt = 0.01
+        cube = cube_points(np.arange(-kmax, kmax + 1), d)
+        theta = cov.mode_weight(spec, np.sum(cube * cube, axis=-1))
+        # the sampler's half lattice is the cube after its centre
+        sampler = nf.IncrementSampler(spec, kmax, 3 * kmax + 1, dt)
+        centre = len(cube) // 2
+        np.testing.assert_allclose(sampler.amp_half**2,
+                                   dt * TWO_PI ** (-d) * theta[centre + 1:], rtol=1e-15)
+        assert sampler.amp_zero**2 == pytest.approx(dt * TWO_PI ** (-d) * 0.8, rel=1e-15)
+        for i in range(len(cube)):
+            unit = np.zeros(len(cube))
+            unit[i] = 1.0
+            assert nf.functional_variance(spec, unit.reshape((2 * kmax + 1,) * d)) == theta[i]
+        x = np.array([0.3, -1.1])[:d]
+        direct = TWO_PI ** (-d) * sum(w * math.cos(k @ x) for k, w in zip(cube, theta))
+        assert cov.covariance_truncated(spec, x, kmax) == pytest.approx(direct, rel=1e-13)
+        # above the reroute floor 38 / kmax^2 of k1
+        s = np.array([1.6, 3.0])
+        direct = TWO_PI ** (-d / 2.0) * np.array(
+            [np.sum(theta * np.exp(-si * np.sum(cube * cube, axis=-1))) for si in s])
+        np.testing.assert_allclose(mc.k1(s, spec, kmax), direct, rtol=1e-13)
+
+
+class TestCutoffRefusals:
+    @pytest.mark.parametrize("kmax", [0, -3])
+    def test_spectral_split_needs_a_shell(self, kmax):
+        spec = cov.NoiseSpec(d=1, alpha=0.3, rho=1.0)
+        with pytest.raises(DomainError, match=f"kmax = {kmax} must be >= 1"):
+            cov.covariance_eval(spec, [0.3], kmax=kmax, full_output=True)
+
+    @pytest.mark.parametrize("enumerate_", [cube_norm_sq, lattice_r2, lattice_vectors])
+    def test_negative_lattice_cutoff(self, enumerate_):
+        with pytest.raises(DomainError, match="lattice cutoff kmax = -2 must be >= 0"):
+            enumerate_(1, -2)
+
+    def test_zero_cutoff_is_the_rho_mode(self):
+        spec = cov.NoiseSpec(d=2, alpha=0.3, rho=1.5)
+        assert cov.covariance_truncated(spec, [0.3, 0.1], 0) == 1.5 * TWO_PI**-2
+
+    @pytest.mark.parametrize("x", [[0.3, 0.1], [[0.3, 0.1, 0.2]]])
+    def test_truncated_point_dimension(self, x):
+        spec = cov.NoiseSpec(d=1, alpha=0.3, rho=1.0)
+        with pytest.raises(DomainError, match="point has dimension"):
+            cov.covariance_truncated(spec, x, 4)
 
 
 class TestDualRoutes:

@@ -224,6 +224,17 @@ class TestFunctionals:
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) <= 3.0 / math.sqrt(n_rep)
 
+    @pytest.mark.parametrize("d,shape", [(2, (9,)), (1, (9, 9)), (1, (8,)),
+                                         (2, (9, 7)), (2, (8, 8))])
+    def test_functional_variance_needs_a_d_cube_of_odd_side(self, d, shape):
+        spec = NoiseSpec(d=d, alpha=0.3, rho=1.0)
+        with pytest.raises(DomainError, match="is not a d = .* cube of odd side"):
+            nf.functional_variance(spec, np.ones(shape))
+
+    def test_sampler_refuses_negative_cutoff(self, spec_d1):
+        with pytest.raises(DomainError, match="kmax = -1 must be >= 0"):
+            nf.IncrementSampler(spec_d1, -1, 16, 0.01)
+
     def test_theoretical_variance_helper(self, spec_d1):
         kmax = 4
         modes = np.zeros(2 * kmax + 1, dtype=complex)

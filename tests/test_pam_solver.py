@@ -160,6 +160,11 @@ class TestConfig:
                               t_final=0.1)
         assert cfg.n_steps == 10
 
+    def test_negative_mode_cutoff_refused(self):
+        with pytest.raises(DomainError, match="mode_k = -1 must be >= 0"):
+            ps.SolverConfig(spec=heat_spec(), grid_n=49, mode_k=-1, dt=0.01,
+                            t_final=0.1)
+
     def test_horizon_not_whole_steps_refused(self):
         with pytest.raises(DomainError, match=r"t_final = 0\.3 .*dt = "
                            r"0\.00390625; 77 steps reach 0\.30078125"):
