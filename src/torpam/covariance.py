@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DalangViolation, DomainError, SingularityError
 from .heat_kernel import (TWO_PI, as_coords, heat_kernel, signed_mod,
                           theta_eps)
-from .lattice import cube_points, lattice_vectors, zeta_lattice
+from .lattice import cube_points, lattice_vectors, sphere_area, zeta_lattice
 
 DEFAULT_KMAX = {1: 24, 2: 12, 3: 8}
 
@@ -157,8 +157,7 @@ def covariance_eval(spec, x, kmax=None, full_output=False):
     # large-argument form and compare the shell sum to a radial integral
     r2_tail = float(kmax**2)
     q_tail = special.gammaincc(spec.alpha, eta * r2_tail)
-    omega = 2.0 * math.pi ** (spec.d / 2.0) / math.gamma(spec.d / 2.0)
-    shell = omega * kmax ** (spec.d - 1)
+    shell = sphere_area(spec.d) * kmax ** (spec.d - 1)
     tail = TWO_PI ** (-spec.d) * q_tail * shell * mode_weight(spec, r2_tail) * 4.0
     return value, tail
 
@@ -171,7 +170,7 @@ def covariance_eval_batch(spec, xs):
     Gaussian part, so large grids (threshold scans) stay cheap.  Points
     closer to 0 than ~1e-3 should use the scalar evaluator.
     """
-    xs = signed_mod(np.atleast_2d(np.asarray(xs, dtype=float)))
+    xs = _point(spec, np.atleast_2d(xs))
     eta, vecs, damped = _ewald_weights(spec, DEFAULT_KMAX.get(spec.d, 8))
     direct = np.cos(xs @ vecs.T) @ damped
     a, d = spec.alpha, spec.d

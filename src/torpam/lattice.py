@@ -45,6 +45,11 @@ def lattice_vectors(d, kmax):
     return pts[cube_norm_sq(d, kmax) > 0]
 
 
+def sphere_area(d):
+    """Surface area 2 pi^{d/2} / Gamma(d/2) of the unit sphere in R^d."""
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+
+
 def zeta_lattice(d, exponent, kmax=128):
     """sum over k != 0 of |k|^(-exponent), with an integral tail estimate.
 
@@ -56,8 +61,7 @@ def zeta_lattice(d, exponent, kmax=128):
         raise ValueError("lattice zeta sum requires exponent > d")
     r2, counts = lattice_r2(d, kmax)
     main = float(np.sum(counts * r2 ** (-exponent / 2.0)))
-    # surface area of the unit sphere in R^d
-    omega = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    omega = sphere_area(d)
     tail = omega * kmax ** (d - exponent) / (exponent - d)
     tail += 0.5 * omega * kmax ** (d - 1) * kmax ** (-exponent)
     return main + tail

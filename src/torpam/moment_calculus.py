@@ -27,7 +27,7 @@ import numpy as np
 from .covariance import NoiseSpec, mode_weight
 from .errors import DomainError, NumericsError
 from .heat_kernel import TWO_PI, heat_kernel
-from .lattice import lattice_r2, zeta_lattice
+from .lattice import lattice_r2, sphere_area, zeta_lattice
 
 # exp(-38) ~ 3e-17: mode sums truncated where the Gaussian factor is below
 # double precision
@@ -149,7 +149,7 @@ def k1_laplace(gamma, spec):
     r2, counts = lattice_r2(d, kmax)
     main = float(np.sum(counts * mode_weight(spec, r2) / (r2 + gamma)))
 
-    omega = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    omega = sphere_area(d)
 
     def radial(r):
         return omega * r ** (d - 1.0 - 2.0 * a) / (r * r + gamma)
@@ -180,14 +180,13 @@ def riesz_gaussian_constant(d, alpha):
 
     if alpha < d / 2.0:
         c = riesz_fourier_constant(d, alpha)
-        omega = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
         p = d - 1.0 - 2.0 * alpha
         # r = v^{1/(1+p)} flattens the endpoint power exactly
         q = 1.0 / (1.0 + p)
         val, _ = integrate.quad(
             lambda v: q * math.exp(-(v ** (2.0 * q)) / 2.0),
             0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=300)
-        return c * omega * val
+        return c * sphere_area(d) * val
     return riesz_gaussian_constant_closed(d, alpha)
 
 

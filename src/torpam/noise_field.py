@@ -45,7 +45,10 @@ def _half_cube(kmax, grid_n, d):
     first d-1 axes, half cube to real-FFT spectrum (k < 0 wrapped to
     N-kmax..N-1); and, for j = d-1 .. 0, the full-cube slice with k_j < 0
     and every later axis at k = 0, paired with the slice of its mirror -k.
+    Refuses a negative cutoff and a grid too coarse for the cube.
     """
+    if kmax < 0:
+        raise DomainError(f"mode cutoff kmax = {kmax} must be >= 0")
     if grid_n < 2 * kmax + 1:
         raise AliasingError(f"grid_n={grid_n} cannot carry modes to |k|={kmax}")
     sign = (-1.0) ** np.abs(np.arange(-kmax, kmax + 1))
@@ -125,11 +128,9 @@ class IncrementSampler:
     def __init__(self, spec, kmax, grid_n, dt):
         if dt <= 0.0:
             raise DomainError("dt must be positive")
-        if grid_n < 2 * kmax + 1:
-            raise AliasingError(
-                f"grid_n={grid_n} < 2*kmax+1={2 * kmax + 1}: modes alias")
         if spec.d > 2:
             raise DomainError("sampling implemented for d in {1, 2}")
+        _half_cube(kmax, grid_n, spec.d)  # refuses kmax < 0 or too coarse a grid
         self.spec = spec
         self.kmax = kmax
         self.grid_n = grid_n

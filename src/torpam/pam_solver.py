@@ -255,17 +255,18 @@ def _increments(sampler, seed, stream, n_paths, n_steps):
 
 
 def _march(config, mu, seed, n_paths, output_times, stream=0):
-    """Exponential-Euler march of n_paths fields batched over the grid:
-    yields ``(t, u, keep)`` at the start and after every step, u indexed
-    (path, grid...).  The first item's ``keep`` is the mask of the requested
-    output times over all n_steps + 1 fields, so a collector can size its
-    output before the first step; each later item's is its own entry.
-    Raises NumericsError naming the first step with a non-finite field.
+    """Exponential-Euler march of n_paths fields batched over the grid.
+
+    Returns ``(times, fields, negative_steps)``: the requested output times
+    in march order, one C-contiguous (n_out, path, grid...) stack allocated
+    before the first step and written one kept field at a time, and the
+    number of steps after which some field has a negative value.  Raises
+    NumericsError naming the first step with a non-finite field.
 
     The noise increments come from one generator over the steps; with at
     least ``_PREFETCH_MIN`` grid values per step and more than one CPU it
-    runs a step ahead on a worker thread, which ends when the march does,
-    is closed or raises."""
+    runs a step ahead on a worker thread, which ends when the march ends
+    or raises."""
     config.spec.require_dalang()
     u0, t_start = initial_field(config, mu)
     u = np.broadcast_to(u0, (n_paths,) + u0.shape).copy()
@@ -275,10 +276,15 @@ def _march(config, mu, seed, n_paths, output_times, stream=0):
     d, kmax, n = config.spec.d, config.mode_k, config.grid_n
     lam = config.spec.lam
     keep = _output_mask(config, t_start, output_times)
+    times = t_start + config.dt * np.flatnonzero(keep)
+    fields = np.empty(times.shape + u.shape)
+    row = 0
+    if keep[0]:
+        fields[0], row = u, 1
+    negative_steps = 0
     noise = _increments(sampler, seed, stream, n_paths, config.n_steps)
     if n_paths * n**d >= _PREFETCH_MIN and _cpu_count() > 1:
         noise = _prefetch(noise)
-    yield t_start, u, keep
     with closing(noise):
         for nstep, dw in enumerate(noise):
             # heat * (u_modes + lam * prod) to the bit, in place and with
@@ -290,32 +296,17 @@ def _march(config, mu, seed, n_paths, output_times, stream=0):
             prod += grid_to_modes(u, kmax, n, d)
             prod *= heat
             u = modes_to_grid(prod, kmax, n, d)
-            t_now = t_start + (nstep + 1) * config.dt
-            if not np.isfinite(u).all():
+            # a NaN or an infinity reaches the minimum or the maximum
+            low, high = u.min(), u.max()
+            if not (np.isfinite(low) and np.isfinite(high)):
+                t_now = t_start + (nstep + 1) * config.dt
                 raise NumericsError(f"non-finite field after step {nstep + 1}"
                                     f" of {config.n_steps} (t = {t_now:g})")
-            yield t_now, u, keep[nstep + 1]
-
-
-def _collect(march, after_step=None):
-    """The kept times and fields of ``march``, in march order, written into
-    a (n_out,) time array and one C-contiguous (n_out, path, grid...) stack,
-    both allocated once from the mask the march's first item carries, so
-    each kept field is copied once.  ``after_step``, if given, sees the
-    field after every step."""
-    t, u, keep = next(march)
-    times = np.empty(np.count_nonzero(keep))
-    fields = np.empty(times.shape + u.shape)
-    row = 0
-    if keep[0]:
-        times[0], fields[0], row = t, u, 1
-    for t, u, kept in march:
-        if after_step is not None:
-            after_step(u)
-        if kept:
-            times[row], fields[row] = t, u
-            row += 1
-    return times, fields
+            negative_steps += bool(low < 0)
+            if keep[nstep + 1]:
+                fields[row] = u
+                row += 1
+    return times, fields, negative_steps
 
 
 def solve(config, mu, seed, output_times=None):
@@ -324,12 +315,9 @@ def solve(config, mu, seed, output_times=None):
     The one-path case of :func:`solve_ensemble`, with fields indexed
     (time, grid...), plus a count of the steps after which the field has a
     negative value."""
-    negative = []
-    times, fields = _collect(
-        _march(config, mu, seed, 1, output_times),
-        after_step=lambda u: negative.append(np.min(u) < 0))
+    times, fields, negative = _march(config, mu, seed, 1, output_times)
     return Trajectory(times=times, fields=fields[:, 0], seed=int(seed),
-                      config=config, positivity_violations=int(sum(negative)))
+                      config=config, positivity_violations=negative)
 
 
 def _output_mask(config, t_start, output_times):
@@ -366,4 +354,4 @@ def solve_ensemble(config, mu, seed, n_paths, output_times, stream=0):
     grid...), allocated once and written field by field, so the call holds
     little more than the stack itself.
     """
-    return _collect(_march(config, mu, seed, n_paths, output_times, stream))
+    return _march(config, mu, seed, n_paths, output_times, stream)[:2]

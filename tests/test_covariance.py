@@ -124,6 +124,13 @@ class TestCutoffRefusals:
         with pytest.raises(DomainError, match="point has dimension"):
             cov.covariance_truncated(spec, x, 4)
 
+    @pytest.mark.parametrize("d, xs", [(1, [[0.3, 0.1]]), (2, [[0.3]]),
+                                       (2, [[0.3, 0.1, 0.2], [0.1, 0.2, 0.3]])])
+    def test_batch_point_dimension(self, d, xs):
+        spec = cov.NoiseSpec(d=d, alpha=0.8, rho=1.0)
+        with pytest.raises(DomainError, match=f"point has dimension .*, spec has {d}"):
+            cov.covariance_eval_batch(spec, xs)
+
 
 class TestDualRoutes:
     @pytest.mark.parametrize("d,alpha,rho", [(1, 0.3, 0.0), (1, 0.45, 1.0)])

@@ -54,6 +54,12 @@ class TestModeMaps:
         with pytest.raises(AliasingError):
             nf.grid_to_modes(np.zeros(8), 4, 8, 1)
 
+    def test_negative_cutoff_refused_by_name(self):
+        with pytest.raises(DomainError, match="mode cutoff kmax = -1 must be >= 0"):
+            nf.grid_to_modes(np.zeros(8), -1, 8, 1)
+        with pytest.raises(DomainError, match="mode cutoff kmax = -1 must be >= 0"):
+            nf.modes_to_grid(np.zeros(1, dtype=complex), -1, 8, 1)
+
 
 def _flip(c, d):
     """c_{-k}: the mode tensor reversed along its last d axes."""
