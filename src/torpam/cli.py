@@ -34,7 +34,7 @@ from .covariance import (NoiseSpec, covariance_eval, covariance_eval_integral,
                          rho_star)
 from .errors import DomainError, NumericsError
 from .heat_kernel import heat_kernel, kernel_sandwich_check, theta_c, theta_eps
-from .pam_solver import InitialMeasure, SolverConfig, solve
+from .pam_solver import InitialMeasure, SolverConfig, cpu_count, solve
 
 USAGE_ERROR, VERIFY_FAIL = 1, 2
 
@@ -147,7 +147,7 @@ LAMBDA = [("lambda", float, 1.0)]
 # run flags steer how a run is made and are kept out of the manifest's
 # parameters (the seed is recorded top-level)
 RUN_FLAGS = {"seed": (int, 0), "format": (("csv", "json"), "json"),
-             "threads": (int, os.cpu_count() or 1)}
+             "threads": (int, cpu_count())}
 COMMANDS = {}
 
 

@@ -31,11 +31,20 @@ def lattice_r2(d, kmax):
     Returns ``(r2, counts)`` where ``r2`` is the sorted array of distinct
     squared norms and ``counts[i]`` the number of lattice points realizing
     ``r2[i]``.  Radially symmetric sums collapse to a histogram contraction,
-    which keeps d = 2 and d = 3 sums cheap.
+    which keeps d = 2 and d = 3 sums cheap.  The histogram is built one
+    axis at a time, so it never holds the (2 kmax + 1)^d cube.
     """
-    sq = cube_norm_sq(d, kmax)
-    r2, counts = np.unique(sq[sq > 0], return_counts=True)
-    return r2.astype(float), counts.astype(float)
+    if kmax < 0:
+        raise DomainError(f"lattice cutoff kmax = {kmax} must be >= 0")
+    r2 = k2 = np.arange(kmax + 1) ** 2
+    counts = weight = np.where(k2 > 0, 2, 1)  # +-k: 1 point at k = 0, else 2
+    for _ in range(d - 1):
+        dense = np.zeros(r2[-1] + k2[-1] + 1, dtype=np.int64)
+        for sq, w in zip(k2, weight):
+            np.add.at(dense, r2 + sq, w * counts)
+        r2 = np.flatnonzero(dense)
+        counts = dense[r2]
+    return r2[1:].astype(float), counts[1:].astype(float)
 
 
 @lru_cache(maxsize=64)

@@ -379,10 +379,11 @@ def H_lambda(spec, t, lam=None, dt=None, full_output=False):
         n_nodes = int(math.ceil(t_max / dt)) + 1
         if n_nodes > _MAX_NODES:
             raise NumericsError(f"H_lambda needs {n_nodes} nodes, over the cap {_MAX_NODES}")
-        P, A = _pi_weights(spec, n_nodes, dt)
-        if lam2 * P[0] < 0.5:
+        w0, w1 = _first_cell_moments(dt, spec)  # P[0] of _pi_weights
+        if lam2 * (w0 - w1 / dt) < 0.5:
             break
         dt /= 2.0
+    P, A = _pi_weights(spec, n_nodes, dt)
     h = np.ones(n_nodes)
     denom = 1.0 - lam2 * P[0]
     with np.errstate(over="ignore"):

@@ -8,7 +8,8 @@ exactly, which :func:`empirical_covariance` verifies by Monte Carlo.
 
 Randomness comes from counter-based Philox streams keyed on
 (seed, stream, step), so per-step draws are reproducible independently of
-scheduling or worker count.
+scheduling or worker count; :meth:`IncrementSampler.draw` is the one
+route from a key to grid noise.
 """
 
 from __future__ import annotations
@@ -166,11 +167,16 @@ class IncrementSampler:
         modes = modes.reshape((nb,) + self.cube)
         return modes[0] if squeeze else modes
 
+    def draw(self, seed, step, stream=0, n_batch=None):
+        """The increment field(s) of one step on the grid, drawn from the
+        step's own (seed, stream, step) Philox key: the one route from a
+        key to grid noise."""
+        modes = self.sample_modes(step_rng(seed, step, stream), n_batch)
+        return modes_to_grid(modes, self.kmax, self.grid_n, self.spec.d)
+
     def sample(self, seed, step, stream=0):
         """One increment field on the grid, reproducible from its key."""
-        rng = step_rng(seed, step, stream)
-        modes = self.sample_modes(rng)
-        field = modes_to_grid(modes, self.kmax, self.grid_n, self.spec.d)
+        field = self.draw(seed, step, stream)
         return NoiseIncrement(dt=self.dt, grid_n=self.grid_n, values=field,
                               seed_state=(int(seed), int(stream), int(step)),
                               kmax=self.kmax)
@@ -226,10 +232,8 @@ def empirical_covariance(spec, dt, grid_n, n_samples, seed):
     if n_samples < 1000:
         raise DomainError("need n_samples >= 1000 for a meaningful check")
     kmax = (grid_n - 1) // 2
-    sampler = IncrementSampler(spec, kmax, grid_n, dt)
-    rng = step_rng(seed, 0)
-    modes = sampler.sample_modes(rng, n_batch=n_samples)
-    fields = modes_to_grid(modes, kmax, grid_n, 1)
+    fields = IncrementSampler(spec, kmax, grid_n, dt).draw(seed, 0,
+                                                            n_batch=n_samples)
 
     emp = fields.T @ fields / n_samples
     sq = fields * fields

@@ -12,17 +12,18 @@ isometry matches the sampled covariance.  The product u dW is formed on
 the grid, which must hold 3*kmax+1 points so the retained modes of the
 product are alias-free.
 
-A step's noise depends only on its (seed, stream, step) key, never on the
-field, so a batch large enough to pay for the hand-off (at least
-``_PREFETCH_MIN`` grid values per step) draws and synthesizes the next
-step's noise on one worker thread while the current step runs.  The same
-calls are made on the same keys either way, so every output bit is too.
+A step's noise is ``IncrementSampler.draw`` on its (seed, stream, step)
+key, never on the field, so a batch large enough to pay for the hand-off
+(at least ``_PREFETCH_MIN`` grid values per step) draws and synthesizes
+the next step's noise on one worker thread while the current step runs.
+The worker lives exactly as long as the march.  The same calls are made
+on the same keys either way, so every output bit is too.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import closing
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from .errors import AliasingError, DomainError, NumericsError
 from .heat_kernel import TWO_PI, as_coords, heat_kernel
 from .lattice import cube_norm_sq
 from .noise_field import (IncrementSampler, grid_points, grid_to_modes,
-                          modes_to_grid, step_rng)
+                          modes_to_grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,36 +223,12 @@ def initial_field(config, mu):
 _PREFETCH_MIN = 2**16
 
 
-def _cpu_count():
-    """The number of CPUs this process may run on."""
+def cpu_count():
+    """The number of CPUs this process may run on; --threads defaults to it."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform restricts affinity
         return os.cpu_count() or 1
-
-
-def _prefetch(items):
-    """Yield the items of the iterator ``items``, computing each next one
-    on a worker thread while the caller works on the current one.  An
-    error on the worker re-raises here; closing the generator waits for
-    the worker and ends its thread."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = [pool.submit(next, items, None)]
-        while ahead[0].result() is not None:
-            ahead.append(pool.submit(next, items, None))
-            # popped, so that only the caller holds the item it is given
-            yield ahead.pop(0).result()
-
-
-def _increments(sampler, seed, stream, n_paths, n_steps):
-    """Each step's noise increment on the grid for all paths, drawn from
-    the step's own (seed, stream, step) Philox key."""
-    for nstep in range(n_steps):
-        rng = step_rng(seed, nstep, stream=stream)
-        yield modes_to_grid(sampler.sample_modes(rng, n_batch=n_paths),
-                            sampler.kmax, sampler.grid_n, sampler.spec.d)
 
 
 def _march(config, mu, seed, n_paths, output_times, stream=0):
@@ -263,10 +240,10 @@ def _march(config, mu, seed, n_paths, output_times, stream=0):
     number of steps after which some field has a negative value.  Raises
     NumericsError naming the first step with a non-finite field.
 
-    The noise increments come from one generator over the steps; with at
-    least ``_PREFETCH_MIN`` grid values per step and more than one CPU it
-    runs a step ahead on a worker thread, which ends when the march ends
-    or raises."""
+    Each step's noise is ``sampler.draw`` on its key; with at least
+    ``_PREFETCH_MIN`` grid values per step and more than one CPU the next
+    step's is drawn on one worker thread, which lives exactly as long as
+    the march's ``with`` block, through a return or an error."""
     config.spec.require_dalang()
     u0, t_start = initial_field(config, mu)
     u = np.broadcast_to(u0, (n_paths,) + u0.shape).copy()
@@ -274,7 +251,7 @@ def _march(config, mu, seed, n_paths, output_times, stream=0):
     sampler = IncrementSampler(config.spec, config.mode_k, config.grid_n,
                                config.dt)
     d, kmax, n = config.spec.d, config.mode_k, config.grid_n
-    lam = config.spec.lam
+    lam, n_steps = config.spec.lam, config.n_steps
     keep = _output_mask(config, t_start, output_times)
     times = t_start + config.dt * np.flatnonzero(keep)
     fields = np.empty(times.shape + u.shape)
@@ -282,11 +259,19 @@ def _march(config, mu, seed, n_paths, output_times, stream=0):
     if keep[0]:
         fields[0], row = u, 1
     negative_steps = 0
-    noise = _increments(sampler, seed, stream, n_paths, config.n_steps)
-    if n_paths * n**d >= _PREFETCH_MIN and _cpu_count() > 1:
-        noise = _prefetch(noise)
-    with closing(noise):
-        for nstep, dw in enumerate(noise):
+
+    def draw(nstep):
+        return sampler.draw(seed, nstep, stream, n_paths)
+
+    ahead = n_paths * n**d >= _PREFETCH_MIN and cpu_count() > 1
+    if ahead:  # loaded only here: the import alone adds ~0.4 MB of RSS
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) if ahead else nullcontext() as pool:
+        following = pool.submit(draw, 0) if ahead else None
+        for nstep in range(n_steps):
+            dw = following.result() if ahead else draw(nstep)
+            following = (pool.submit(draw, nstep + 1)
+                         if ahead and nstep + 1 < n_steps else None)
             # heat * (u_modes + lam * prod) to the bit, in place and with
             # dw freed early, so few step temporaries are alive while the
             # next step's noise is being drawn
@@ -301,7 +286,7 @@ def _march(config, mu, seed, n_paths, output_times, stream=0):
             if not (np.isfinite(low) and np.isfinite(high)):
                 t_now = t_start + (nstep + 1) * config.dt
                 raise NumericsError(f"non-finite field after step {nstep + 1}"
-                                    f" of {config.n_steps} (t = {t_now:g})")
+                                    f" of {n_steps} (t = {t_now:g})")
             negative_steps += bool(low < 0)
             if keep[nstep + 1]:
                 fields[row] = u

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import torpam
+from torpam import experiments as ex
 from torpam import moment_calculus as mc
+from torpam import pam_solver
 from torpam.cli import COMMANDS, main
 from torpam.covariance import NoiseSpec
 from torpam.noise_field import sample_increment
@@ -432,3 +434,31 @@ class TestColdStart:
         loaded = _fresh("from torpam.cli import main\n"
                         f"assert main({argv!r}) == 0")
         assert {"scipy.integrate", "scipy.special"} <= set(loaded)
+
+
+class TestThreadsDefault:
+    """--threads defaults to the CPUs the process may run on, the count the
+    solver's noise prefetch also reads."""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="the platform has no CPU affinity")
+    def test_default_follows_the_affinity(self):
+        _fresh("import os\n"
+               "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+               "from torpam.cli import RUN_FLAGS\n"
+               "assert RUN_FLAGS['threads'][1] == 1, RUN_FLAGS['threads']\n")
+
+    def test_mc_moments_default(self, tmp_path, monkeypatch):
+        seen, real = [], ex.moment_bound_report
+
+        def report(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "moment_bound_report", report)
+        code, out = run(tmp_path, "m", "mc-moments", *S, *SOLVER,
+                        "--t-list", "0.02", "--n-samples", "8")
+        assert code in (0, 2)
+        assert seen == [pam_solver.cpu_count()]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "threads" not in manifest["parameters"]

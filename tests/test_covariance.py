@@ -132,6 +132,25 @@ class TestCutoffRefusals:
             cov.covariance_eval_batch(spec, xs)
 
 
+class TestLatticeHistogram:
+    """lattice_r2, built one axis at a time, against the whole cube."""
+
+    @pytest.mark.parametrize("d, kmax", [(1, 0), (1, 9), (2, 0), (2, 1),
+                                         (2, 11), (3, 1), (3, 2), (3, 7)])
+    def test_equals_cube_enumeration(self, d, kmax):
+        sq = np.sum(cube_points(np.arange(-kmax, kmax + 1), d) ** 2, axis=-1)
+        r2, counts = np.unique(sq[sq > 0], return_counts=True)
+        got_r2, got_counts = lattice_r2(d, kmax)
+        assert got_r2.dtype == got_counts.dtype == np.float64
+        np.testing.assert_array_equal(got_r2, r2)
+        np.testing.assert_array_equal(got_counts, counts)
+
+    def test_d3_laplace_cutoff_counts_every_point(self):
+        r2, counts = lattice_r2(3, mc._laplace_kmax(3))
+        assert counts.sum() == 1025**3 - 1
+        assert r2[-1] == 3 * 512**2
+
+
 class TestDualRoutes:
     @pytest.mark.parametrize("d,alpha,rho", [(1, 0.3, 0.0), (1, 0.45, 1.0)])
     def test_agreement_1d(self, d, alpha, rho, rng):

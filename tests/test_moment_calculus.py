@@ -196,6 +196,16 @@ class TestHLambda:
         assert info["dt"] == 0.02
         assert march == pytest.approx(level_sum, rel=1e-8)
 
+    def test_step_halves_until_the_first_weight_is_small(self, spec_d1):
+        # lambda^2 P[0] < 0.5 at the step taken, and not at twice that step
+        lam, t = 10.0, 0.2
+        _, info = mc.H_lambda(spec_d1, t, lam=lam, dt=t, full_output=True)
+        dt = info["dt"]
+        assert dt < t
+        first = [mc._pi_weights(spec_d1, int(math.ceil(t / h)) + 1, h)[0][0]
+                 for h in (dt, 2 * dt)]
+        assert lam**2 * first[0] < 0.5 <= lam**2 * first[1]
+
     def test_reports_snapped_time(self, spec_d1):
         _, info = mc.H_lambda(spec_d1, 50.0, lam=1.0, full_output=True)
         t_eval = float(info["t_eval"][0])

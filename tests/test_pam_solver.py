@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torpam import noise_field as nf
 from torpam import pam_solver as ps
 from torpam.covariance import NoiseSpec
 from torpam.errors import AliasingError, DomainError, NumericsError
@@ -462,59 +464,72 @@ class TestPrefetch:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(ps, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(ps, "cpu_count", lambda: 2)
+
+    @pytest.fixture
+    def off_thread(self, monkeypatch):
+        """One entry per IncrementSampler.draw: whether it ran on a thread
+        other than the test's own."""
+        caller, seen = threading.get_ident(), []
+        draw = IncrementSampler.draw
+
+        def recorded(self, *args, **kwargs):
+            seen.append(threading.get_ident() != caller)
+            return draw(self, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementSampler, "draw", recorded)
+        return seen
 
     @pytest.mark.parametrize("d, n_paths, grid_n, mode_k",
                              [(1, 1100, 64, 16), (2, 300, 16, 5)])
-    def test_fields_equal_serial_path(self, monkeypatch, d, n_paths, grid_n,
-                                      mode_k):
+    def test_fields_equal_serial_path(self, monkeypatch, off_thread, d,
+                                      n_paths, grid_n, mode_k):
         spec = NoiseSpec(d=d, alpha=0.3 if d == 1 else 0.8, rho=1.0, lam=1.0)
         cfg = ps.SolverConfig(spec=spec, grid_n=grid_n, mode_k=mode_k,
                               dt=0.01, t_final=0.05)
         mu = ps.InitialMeasure.delta([0.3] * d, 0.05)
-        prefetches = []
-        prefetch = ps._prefetch
-        monkeypatch.setattr(ps, "_prefetch",
-                            lambda items: prefetches.append(1) or prefetch(items))
-        runs = []
-        for least in (ps._PREFETCH_MIN, n_paths * grid_n**d + 1):
+        runs, where = [], []
+        for least, cpus in ((ps._PREFETCH_MIN, 2),
+                            (n_paths * grid_n**d + 1, 2),
+                            (ps._PREFETCH_MIN, 1)):
             monkeypatch.setattr(ps, "_PREFETCH_MIN", least)
+            monkeypatch.setattr(ps, "cpu_count", lambda: cpus)
             times, fields = ps.solve_ensemble(cfg, mu, 7, n_paths, [0.1])
             runs.append((times.tobytes(), fields[-1].tobytes()))
-        assert prefetches == [1]
-        assert runs[0] == runs[1]
+            where.append(off_thread[:])
+            off_thread.clear()
+        assert where == [[True] * 5, [False] * 5, [False] * 5]
+        assert runs[0] == runs[1] == runs[2]
         assert runs[0][1] == _reference_march(cfg, mu, 7, n_paths).tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_error_mid_march_ends_the_worker(self, monkeypatch, request):
+    def test_error_mid_march_ends_the_worker(self, off_thread, request):
         cfg = ps.SolverConfig(spec=NoiseSpec(d=1, alpha=0.3, rho=1.0,
                                              lam=1e200),
                               grid_n=64, mode_k=16, dt=0.01, t_final=0.1)
-        prefetches = []
-        prefetch = ps._prefetch
-        monkeypatch.setattr(ps, "_prefetch",
-                            lambda items: prefetches.append(1) or prefetch(items))
         with pytest.raises(NumericsError, match="step 2 of 10") as caught:
             ps.solve_ensemble(cfg, ps.InitialMeasure.uniform(1.0), 0,
                               self.n_paths, [0.1])
-        assert prefetches == [1]
-        # the error's traceback holds the march's frame and so its noise
-        # generator; kept past the test, it lets the conftest thread check
-        # see a worker that the march itself failed to end
+        # steps 1 and 2 ran, and step 3's noise was drawn ahead
+        assert off_thread == [True] * 3
+        # the error's traceback holds the march's frame and so its worker
+        # pool; kept past the test, it lets the conftest thread check see a
+        # worker that the march itself failed to end
         request.node.error = caught.value
 
-    def test_noise_error_reraises_in_the_caller(self, monkeypatch):
-        step_rng = ps.step_rng
+    def test_noise_error_reraises_in_the_caller(self, monkeypatch, off_thread):
+        step_rng = nf.step_rng
 
         def failing(seed, step, stream=0):
             if step == 3:
                 raise RuntimeError("draw failed at step 3")
             return step_rng(seed, step, stream=stream)
 
-        monkeypatch.setattr(ps, "step_rng", failing)
+        monkeypatch.setattr(nf, "step_rng", failing)
         with pytest.raises(RuntimeError, match="draw failed at step 3"):
             ps.solve_ensemble(self.cfg, ps.InitialMeasure.uniform(1.0), 0,
                               self.n_paths, None)
+        assert off_thread == [True] * 4
 
 
 class TestOutputStack:
