@@ -21,7 +21,7 @@ from .errors import DomainError
 from .heat_kernel import TWO_PI, heat_kernel, signed_mod
 from .lattice import lattice_vectors
 from .noise_field import grid_points, step_rng
-from .pam_solver import j0, solve_ensemble, whole_steps
+from .pam_solver import drawn_ahead, j0, solve_ensemble, whole_steps
 
 
 def jackknife_se(values):
@@ -358,16 +358,17 @@ def _table_lookup(f, df, x):
 
 
 # Normals per block of the pair walk, both walkers together: 2^16 doubles
-# (512 KB) spread the per-call costs over many steps and add under 1 MB to
-# the peak RSS; 2^18 adds about 9 MB.
+# (512 KB) spread the per-call costs over many steps.  Two blocks are
+# alive, 1 MB together, one summed while the next is drawn; blocks of 2^18
+# add about 9 MB to the peak RSS.
 _PAIR_BLOCK = 2**16
 
 
 def _pair_walk(spec, kmax, x0, n_paths, stops, dt_bm, rng):
     """n_paths pairs of independent torus Brownian motions B, B' from x0;
-    yields ``(step, B, B', acc)`` at each of the sorted step counts
-    ``stops``, ``acc`` the left-point sum of the tabulated f(B_s - B'_s)
-    over the steps taken.
+    returns the rows ``(step, B, B', acc)`` at each of the sorted step
+    counts ``stops``, ``acc`` the left-point sum of the tabulated
+    f(B_s - B'_s) over the steps taken.
 
     The walk advances m = _PAIR_BLOCK // (2 n_paths) steps per block: one
     (m, 2, n_paths) draw (the same normals, in the same order, as m
@@ -376,32 +377,44 @@ def _pair_walk(spec, kmax, x0, n_paths, stops, dt_bm, rng):
     with ``acc``, which adds in step order.  Blocks are cut at multiples of
     m and at the last stop only, so a stop's values do not depend on which
     other stops were asked for.
+
+    With more than one block, block i + 1 is drawn ahead (``drawn_ahead``)
+    into the other of two reused buffers while block i is summed; no row is
+    a view into them, and the draws, and so the rows, are the same bits.
     """
     if n_paths < 2:
         raise DomainError(f"a standard error needs n_paths >= 2, got {n_paths}")
     f_tab, df_tab = _f_table(spec, kmax)
     m = max(1, _PAIR_BLOCK // (2 * n_paths))
     root = math.sqrt(dt_bm)
-    ends = np.full((2, n_paths), x0)  # B, B' at the block start
-    acc = np.zeros(n_paths)
-    stops = list(stops)
-    done = 0
-    while stops:
-        k = min(m, stops[-1] - done)
-        pos = np.empty((k + 1, 2, n_paths))
-        pos[0] = ends
+    stops, last = list(stops), stops[-1]
+    starts = range(0, last, m)  # the steps done before each block
+    buffers = np.empty((2, m + 1, 2, n_paths))
+
+    def draw(i):  # block i's scaled steps, after a row for its start
+        pos = buffers[i % 2, :min(m, last - starts[i]) + 1]
         rng.standard_normal(out=pos[1:])
         pos[1:] *= root
-        np.cumsum(pos, axis=0, out=pos)
-        sums = _table_lookup(f_tab, df_tab, pos[:-1, 0] - pos[:-1, 1])
-        sums[0] += acc
-        np.cumsum(sums, axis=0, out=sums)
-        ends, acc = signed_mod(pos[-1]), sums[-1]
-        while stops and stops[0] <= done + k:
-            j = stops.pop(0) - done
-            b = ends if j == k else signed_mod(pos[j])
-            yield done + j, b[0], b[1], sums[j - 1]
-        done += k
+        return pos
+
+    ends = np.full((2, n_paths), x0)  # B, B' at the block start
+    acc = np.zeros(n_paths)
+    rows = []
+    with drawn_ahead(draw, len(starts), len(starts) > 1) as blocks:
+        for done in starts:
+            pos = next(blocks)
+            k = len(pos) - 1
+            pos[0] = ends
+            np.cumsum(pos, axis=0, out=pos)
+            sums = _table_lookup(f_tab, df_tab, pos[:-1, 0] - pos[:-1, 1])
+            sums[0] += acc
+            np.cumsum(sums, axis=0, out=sums)
+            ends, acc = signed_mod(pos[-1]), sums[-1]
+            while stops and stops[0] <= done + k:
+                j = stops.pop(0) - done
+                b = ends if j == k else signed_mod(pos[j])
+                rows.append((done + j, b[0], b[1], sums[j - 1]))
+    return rows
 
 
 def feynman_kac_second_moment(spec, mu, t, x, n_paths, dt_bm, seed=0,
@@ -479,9 +492,8 @@ def ergodic_average_check(spec, t_list, n_paths, dt_bm=0.01, seed=0):
     sq = lattice_vectors(1, 16).astype(float)[:, 0] ** 2
     weights = mode_weight(spec, sq)
     rows = []
-    walk = _pair_walk(spec, 16, 0.0, n_paths, steps, dt_bm,
-                      step_rng(seed, 0, stream=2))
-    for step_i, _, _, acc in walk:
+    for step_i, _, _, acc in _pair_walk(spec, 16, 0.0, n_paths, steps, dt_bm,
+                                        step_rng(seed, 0, stream=2)):
         t_now = targets[step_i]
         avg = acc * dt_bm / t_now
         # sum_{i<n} e^{-k^2 i dt_bm} as a geometric series

@@ -15,15 +15,16 @@ product are alias-free.
 A step's noise is ``IncrementSampler.draw`` on its (seed, stream, step)
 key, never on the field, so a batch large enough to pay for the hand-off
 (at least ``_PREFETCH_MIN`` grid values per step) draws and synthesizes
-the next step's noise on one worker thread while the current step runs.
-The worker lives exactly as long as the march.  The same calls are made
-on the same keys either way, so every output bit is too.
+the next step's noise on one worker thread while the current step runs,
+through :func:`drawn_ahead`.  The worker lives exactly as long as the
+march.  The same calls are made on the same keys either way, so every
+output bit is too.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -231,6 +232,30 @@ def cpu_count():
         return os.cpu_count() or 1
 
 
+@contextmanager
+def drawn_ahead(draw, count, worth_it):
+    """``map(draw, range(count))`` for a with block.  When ``worth_it`` and
+    the process may use more than one CPU, draw i + 1 runs on one worker
+    thread while the caller uses draw i; the block ends the worker, on exit
+    and on error.  The draws run one at a time and in order either way."""
+    if not (worth_it and cpu_count() > 1):
+        yield map(draw, range(count))
+        return
+    # loaded only when a worker starts: the import adds to the peak RSS
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        following = pool.submit(draw, 0)
+
+        def take(i):  # keeps neither the draw it returns nor its future,
+            # so the caller frees each draw when done with it
+            nonlocal following
+            drawn = following.result()
+            following = pool.submit(draw, i + 1) if i + 1 < count else None
+            return drawn
+
+        yield map(take, range(count))
+
+
 def _march(config, mu, seed, n_paths, output_times, stream=0):
     """Exponential-Euler march of n_paths fields batched over the grid.
 
@@ -240,10 +265,8 @@ def _march(config, mu, seed, n_paths, output_times, stream=0):
     number of steps after which some field has a negative value.  Raises
     NumericsError naming the first step with a non-finite field.
 
-    Each step's noise is ``sampler.draw`` on its key; with at least
-    ``_PREFETCH_MIN`` grid values per step and more than one CPU the next
-    step's is drawn on one worker thread, which lives exactly as long as
-    the march's ``with`` block, through a return or an error."""
+    Each step's noise is ``sampler.draw`` on its key, drawn a step ahead
+    (``drawn_ahead``) on batches of at least ``_PREFETCH_MIN`` grid values."""
     config.spec.require_dalang()
     u0, t_start = initial_field(config, mu)
     u = np.broadcast_to(u0, (n_paths,) + u0.shape).copy()
@@ -263,15 +286,10 @@ def _march(config, mu, seed, n_paths, output_times, stream=0):
     def draw(nstep):
         return sampler.draw(seed, nstep, stream, n_paths)
 
-    ahead = n_paths * n**d >= _PREFETCH_MIN and cpu_count() > 1
-    if ahead:  # loaded only here: the import alone adds ~0.4 MB of RSS
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) if ahead else nullcontext() as pool:
-        following = pool.submit(draw, 0) if ahead else None
+    with drawn_ahead(draw, n_steps,
+                     n_paths * n**d >= _PREFETCH_MIN) as noise:
         for nstep in range(n_steps):
-            dw = following.result() if ahead else draw(nstep)
-            following = (pool.submit(draw, nstep + 1)
-                         if ahead and nstep + 1 < n_steps else None)
+            dw = next(noise)  # not by enumerate, whose tuple would hold it
             # heat * (u_modes + lam * prod) to the bit, in place and with
             # dw freed early, so few step temporaries are alive while the
             # next step's noise is being drawn

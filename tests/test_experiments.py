@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from torpam import experiments as ex
 from torpam import moment_calculus as mc
+from torpam import pam_solver as ps
 from torpam.covariance import NoiseSpec, covariance_truncated
 from torpam.errors import DomainError
 from torpam.heat_kernel import TWO_PI, signed_mod
@@ -375,6 +377,54 @@ def reference_pair_walk(spec, kmax, x0, n_paths, n_steps, dt_bm, rng):
         yield step_i, b1, b2, acc
 
 
+def serial_pair_walk(spec, kmax, x0, n_paths, stops, dt_bm, rng):
+    """The blocked walk with a fresh array per block and every draw on the
+    calling thread: the walk before its look-ahead."""
+    f_tab, df_tab = ex._f_table(spec, kmax)
+    m = max(1, ex._PAIR_BLOCK // (2 * n_paths))
+    ends = np.full((2, n_paths), x0)
+    acc = np.zeros(n_paths)
+    stops, done, rows = list(stops), 0, []
+    while stops:
+        k = min(m, stops[-1] - done)
+        pos = np.empty((k + 1, 2, n_paths))
+        pos[0] = ends
+        rng.standard_normal(out=pos[1:])
+        pos[1:] *= math.sqrt(dt_bm)
+        np.cumsum(pos, axis=0, out=pos)
+        sums = ex._table_lookup(f_tab, df_tab, pos[:-1, 0] - pos[:-1, 1])
+        sums[0] += acc
+        np.cumsum(sums, axis=0, out=sums)
+        ends, acc = signed_mod(pos[-1]), sums[-1]
+        while stops and stops[0] <= done + k:
+            j = stops.pop(0) - done
+            b = ends if j == k else signed_mod(pos[j])
+            rows.append((done + j, b[0], b[1], sums[j - 1]))
+        done += k
+    return rows
+
+
+class RecordedRng:
+    """A generator whose standard_normal records, call by call, whether it
+    ran on a thread other than the one that made it, and raises on call
+    ``fail_at``."""
+
+    def __init__(self, rng, fail_at=None):
+        self.rng, self.fail_at = rng, fail_at
+        self.caller, self.off_thread = threading.get_ident(), []
+
+    def standard_normal(self, *args, **kwargs):
+        self.off_thread.append(threading.get_ident() != self.caller)
+        if len(self.off_thread) == self.fail_at:
+            raise RuntimeError(f"draw {self.fail_at} failed")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def row_bytes(rows):
+    return [(step, b1.tobytes(), b2.tobytes(), acc.tobytes())
+            for step, b1, b2, acc in rows]
+
+
 class TestBlockedPairWalk:
     def test_table_is_f_at_the_nodes(self, spec_d1):
         f, df = ex._f_table(spec_d1, 16)
@@ -425,6 +475,59 @@ class TestBlockedPairWalk:
             assert np.max(np.abs(acc - racc) / np.abs(racc)) <= 1e-12
             assert np.max(np.abs(signed_mod(b1 - r1))) <= 1e-12
             assert np.max(np.abs(signed_mod(b2 - r2))) <= 1e-12
+
+    # 50 pairs walk 655 steps a block: one block; a stop on the first
+    # block boundary; three blocks, the last short, with a stop in each
+    @pytest.mark.parametrize("stops, n_blocks", [
+        ([600], 1), ([655, 1310], 2), ([200, 1000, 1700], 3)])
+    def test_look_ahead_rows_equal_serial_walk(self, monkeypatch, stops,
+                                               n_blocks):
+        spec = NoiseSpec(d=1, alpha=0.3, rho=2.0, lam=1.0)
+        runs, where = [], []
+        for cpus in (2, 1):
+            monkeypatch.setattr(ps, "cpu_count", lambda: cpus)
+            rng = RecordedRng(step_rng(9, 0, stream=2))
+            runs.append(row_bytes(ex._pair_walk(spec, 16, 0.3, 50, stops,
+                                                0.01, rng)))
+            where.append(rng.off_thread)
+        # a single block is drawn on the caller's thread, with no worker
+        assert where == [[n_blocks > 1] * n_blocks, [False] * n_blocks]
+        serial = serial_pair_walk(spec, 16, 0.3, 50, stops, 0.01,
+                                  step_rng(9, 0, stream=2))
+        assert [row[0] for row in runs[0]] == stops
+        assert runs[0] == runs[1] == row_bytes(serial)
+
+    def test_lookup_error_mid_walk_ends_the_worker(self, monkeypatch,
+                                                    request):
+        monkeypatch.setattr(ps, "cpu_count", lambda: 2)
+        lookup, calls = ex._table_lookup, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("lookup failed in block 3")
+            return lookup(*args)
+
+        monkeypatch.setattr(ex, "_table_lookup", failing)
+        rng = RecordedRng(step_rng(9, 0, stream=2))
+        spec = NoiseSpec(d=1, alpha=0.3, rho=2.0, lam=1.0)
+        with pytest.raises(RuntimeError, match="lookup failed") as caught:
+            ex._pair_walk(spec, 16, 0.3, 50, [5 * 655], 0.01, rng)
+        # blocks 1 to 3 were summed and block 4 was drawn ahead
+        assert rng.off_thread == [True] * 4
+        # the error's traceback holds the walk's frame and so its worker
+        # pool; kept past the test, it lets the conftest thread check see a
+        # worker that the walk itself failed to end
+        request.node.error = caught.value
+
+    def test_draw_error_reraises_in_the_caller(self, monkeypatch, request):
+        monkeypatch.setattr(ps, "cpu_count", lambda: 2)
+        rng = RecordedRng(step_rng(9, 0, stream=2), fail_at=3)
+        spec = NoiseSpec(d=1, alpha=0.3, rho=2.0, lam=1.0)
+        with pytest.raises(RuntimeError, match="draw 3 failed") as caught:
+            ex._pair_walk(spec, 16, 0.3, 50, [5 * 655], 0.01, rng)
+        assert rng.off_thread == [True] * 3
+        request.node.error = caught.value
 
     def test_row_independent_of_other_horizons(self):
         spec = NoiseSpec(d=1, alpha=0.3, rho=2.0, lam=1.0)
