@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DalangViolation, DomainError, SingularityError
+from .errors import DalangViolation, DomainError, NumericsError, SingularityError
 from .heat_kernel import (TWO_PI, as_coords, heat_kernel, signed_mod,
                           theta_eps)
 from .lattice import cube_points, lattice_vectors, sphere_area, zeta_lattice
@@ -27,6 +28,10 @@ DEFAULT_KMAX = {1: 24, 2: 12, 3: 8}
 
 # absolute and relative tolerance of the adaptive covariance quadratures
 _QUAD_TOL = 1e-12
+
+# iteration cap of the incomplete-gamma series and continued fraction; the
+# Ewald arguments (a < 3/2, x < 111) converge within ~100 iterations
+_Q_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -81,18 +86,67 @@ def _point(spec, x):
     return xa
 
 
+def _upper_gamma_q(a, x):
+    """Regularized upper incomplete gamma Q(a, x) elementwise, a > 0, x >= 0:
+    below x = a + 1 as 1 - P from the power series of P, above it by the
+    continued fraction in modified-Lentz form (Gautschi, ACM TOMS 5, 1979).
+    Each element iterates until its next term or factor is below roundoff;
+    one still short of that at the cap (a NaN never gets there) raises."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    eps = np.finfo(float).eps
+    prefactor = flat**a * np.exp(-flat) / math.gamma(a)
+    below = flat < a + 1.0
+    # series: P = prefactor * sum_n x^n / (a (a+1) ... (a+n))
+    low = np.flatnonzero(below)
+    term = np.full(low.size, 1.0 / a)
+    total = term.copy()
+    # continued fraction: Q = prefactor / (b_0 + a_1 / (b_1 + a_2 / ...)),
+    # a_n = -n (n - a), b_n = x + 2n + 1 - a; c starts at 1 / (Lentz's tiny
+    # D_0), and a zero denominator turns into inf or NaN and so raises
+    high = np.flatnonzero(~below)
+    b = flat[high] + 1.0 - a
+    c = np.full(high.size, np.inf)
+    dd = 1.0 / b
+    h = dd.copy()
+    for n in range(1, _Q_MAX_ITER + 1):
+        term *= flat[low] / (a + n)
+        total += term
+        done = np.abs(term) < np.abs(total) * eps
+        out[low[done]] = 1.0 - prefactor[low[done]] * total[done]
+        low, term, total = low[~done], term[~done], total[~done]
+
+        an = -n * (n - a)
+        b += 2.0
+        dd = 1.0 / (an * dd + b)
+        c = b + an / c
+        h *= dd * c
+        done = np.abs(dd * c - 1.0) < eps
+        out[high[done]] = prefactor[high[done]] * h[done]
+        high, b, c, dd, h = (high[~done], b[~done], c[~done], dd[~done],
+                             h[~done])
+        if low.size == high.size == 0:
+            return out.reshape(x.shape)
+    raise NumericsError(
+        f"incomplete gamma Q({a:g}, x) did not converge in {_Q_MAX_ITER} "
+        f"iterations at x = {flat[np.concatenate([low, high])][:3]}")
+
+
+@lru_cache(maxsize=64)
 def _ewald_weights(spec, kmax):
     """``(eta, vecs, damped)``: the split scale, the lattice |k|_inf <= kmax
-    and its damped weights |k|^{-2 alpha} Q(alpha, eta |k|^2)."""
-    from scipy import special
-
+    and its damped weights |k|^{-2 alpha} Q(alpha, eta |k|^2); computed once
+    per (spec, kmax), the arrays read-only."""
     # direct-sum weights carry exp(-eta |k|^2); at |k| = kmax they are
     # below 1e-16 so the neglected tail is certified tiny
     eta = math.log(1e16) / kmax**2
     vecs = lattice_vectors(spec.d, kmax).astype(float)
     norm_sq = np.sum(vecs * vecs, axis=-1)
-    return eta, vecs, mode_weight(spec, norm_sq) * special.gammaincc(
-        spec.alpha, eta * norm_sq)
+    damped = mode_weight(spec, norm_sq) * _upper_gamma_q(spec.alpha, eta * norm_sq)
+    vecs.setflags(write=False)  # shared by every caller of the cache
+    damped.setflags(write=False)
+    return eta, vecs, damped
 
 
 def _gaussian_part(spec, x, eta):
@@ -151,12 +205,10 @@ def covariance_eval(spec, x, kmax=None, full_output=False):
 
     if not full_output:
         return value
-    from scipy import special
-
     # neglected direct terms |k|_inf > kmax: bound each Q-factor by its
     # large-argument form and compare the shell sum to a radial integral
     r2_tail = float(kmax**2)
-    q_tail = special.gammaincc(spec.alpha, eta * r2_tail)
+    q_tail = float(_upper_gamma_q(spec.alpha, eta * r2_tail))
     shell = sphere_area(spec.d) * kmax ** (spec.d - 1)
     tail = TWO_PI ** (-spec.d) * q_tail * shell * mode_weight(spec, r2_tail) * 4.0
     return value, tail

@@ -118,16 +118,23 @@ def k1(s, spec, kmax=None):
 
 
 def k1_integral(t, spec):
-    """Exact mode sum for int_0^t k1(s) ds."""
+    """Exact mode sum for int_0^t k1(s) ds; d <= 2, where the zeta tail's
+    lattice cutoff is within reach."""
     if t < 0.0:
         raise DomainError("t must be nonnegative")
     spec.require_dalang()
-    r2, counts = lattice_r2(spec.d, _integral_kmax(spec.d))
+    kmax = _integral_kmax(spec.d)
+    # beyond the cube's largest norm the (1 - e^{-t r^2}) factor is
+    # essentially constant, so the zeta sum past it is the tail
+    tail_kmax = 4 * math.isqrt(spec.d * kmax**2)
+    if spec.d > 2:
+        raise DomainError(
+            f"k1_integral at d = {spec.d} needs its zeta tail summed to the "
+            f"lattice cutoff {tail_kmax}, out of reach")
+    r2, counts = lattice_r2(spec.d, kmax)
     w = counts * mode_weight(spec, r2) / r2
     main = float(np.sum(w * (1.0 - np.exp(-t * r2))))
-    # beyond the cutoff the (1 - e^{-t r^2}) factor is essentially constant
-    r_cut = int(math.sqrt(r2[-1]))
-    tail = zeta_lattice(spec.d, 2.0 * spec.alpha + 2.0, 4 * r_cut) - float(np.sum(w))
+    tail = zeta_lattice(spec.d, 2.0 * spec.alpha + 2.0, tail_kmax) - float(np.sum(w))
     tail *= -float(np.expm1(-t * r2[-1]))
     return TWO_PI ** (-spec.d / 2.0) * (spec.rho * t + main + max(tail, 0.0))
 

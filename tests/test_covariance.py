@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from torpam import covariance as cov
 from torpam import moment_calculus as mc
 from torpam import noise_field as nf
-from torpam.errors import DalangViolation, DomainError, SingularityError
+from torpam.errors import (DalangViolation, DomainError, NumericsError,
+                           SingularityError)
 from torpam.heat_kernel import TWO_PI
-from torpam.lattice import cube_norm_sq, cube_points, lattice_r2, lattice_vectors
+from torpam.lattice import (cube_norm_sq, cube_points, lattice_r2,
+                            lattice_vectors, zeta_lattice)
 from torpam.noise_field import grid_points, grid_to_modes
 
 PI = math.pi
@@ -149,6 +151,76 @@ class TestLatticeHistogram:
         r2, counts = lattice_r2(3, mc._laplace_kmax(3))
         assert counts.sum() == 1025**3 - 1
         assert r2[-1] == 3 * 512**2
+
+
+class TestZetaLattice:
+    """The lattice zeta sum against its closed forms: 2 zeta(e) at d = 1 and
+    4 zeta(s) beta(s), s = e/2, at d = 2, with Dirichlet's beta from the
+    Hurwitz zeta."""
+
+    @pytest.mark.parametrize("d, exponent, rtol", [
+        (1, 2.6, 3e-6), (1, 3.0, 5e-7), (2, 2.6, 1.2e-5), (2, 3.0, 3e-6)])
+    def test_closed_forms(self, d, exponent, rtol):
+        if d == 1:
+            exact = 2.0 * special.zeta(exponent)
+        else:
+            s = exponent / 2.0
+            beta = 4.0**-s * (special.zeta(s, 0.25) - special.zeta(s, 0.75))
+            exact = 4.0 * special.zeta(s) * beta
+        assert zeta_lattice(d, exponent) == pytest.approx(exact, rel=rtol)
+
+    @pytest.mark.parametrize("d, exponent", [(1, 1.0), (2, 1.5), (3, 3.0)])
+    def test_divergent_exponent_refused(self, d, exponent):
+        with pytest.raises(DomainError, match=f"exponent > d, got exponent = "
+                           f"{exponent:g} at d = {d}"):
+            zeta_lattice(d, exponent)
+
+
+class TestUpperGammaQ:
+    """The Ewald split's regularized upper incomplete gamma against scipy's
+    gammaincc, and the cache of the weights it damps."""
+
+    ALPHAS = np.linspace(0.05, 1.49, 49)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ewald_grids(self, d):
+        kmax = cov.DEFAULT_KMAX[d]
+        norm_sq = cube_norm_sq(d, kmax)
+        x = math.log(1e16) / kmax**2 * norm_sq[norm_sq > 0]
+        for a in self.ALPHAS:
+            np.testing.assert_allclose(cov._upper_gamma_q(a, x),
+                                       special.gammaincc(a, x), rtol=1e-13, atol=0)
+
+    def test_around_the_switch(self):
+        # series below x = a + 1, continued fraction from it on
+        for a in self.ALPHAS:
+            x = (a + 1.0) * (1.0 + np.linspace(-0.05, 0.05, 101))
+            np.testing.assert_allclose(cov._upper_gamma_q(a, x),
+                                       special.gammaincc(a, x), rtol=1e-13, atol=0)
+
+    def test_shape_and_origin(self):
+        assert cov._upper_gamma_q(0.3, 0.0) == 1.0
+        assert cov._upper_gamma_q(0.3, np.ones((2, 3))).shape == (2, 3)
+
+    def test_nan_raises(self):
+        with pytest.raises(NumericsError, match="did not converge"):
+            cov._upper_gamma_q(0.3, np.array([1.0, np.nan, 5.0]))
+
+    @pytest.mark.parametrize("x", [0.5, 5.0])
+    def test_iteration_cap_raises(self, x, monkeypatch):
+        monkeypatch.setattr(cov, "_Q_MAX_ITER", 4)
+        with pytest.raises(NumericsError, match="did not converge in 4 iterations"):
+            cov._upper_gamma_q(0.3, x)
+
+    def test_ewald_weights_cached_read_only(self):
+        first = cov._ewald_weights(cov.NoiseSpec(d=2, alpha=0.8, rho=1.0), 12)
+        again = cov._ewald_weights(cov.NoiseSpec(d=2, alpha=0.8, rho=1.0), 12)
+        assert first[0] == again[0]
+        for arr, same in zip(first[1:], again[1:]):
+            assert arr is same
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestDualRoutes:

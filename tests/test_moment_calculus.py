@@ -10,6 +10,7 @@ from torpam import moment_calculus as mc
 from torpam.covariance import NoiseSpec
 from torpam.errors import DalangViolation, DomainError, NumericsError
 from torpam.heat_kernel import TWO_PI
+from torpam.pam_solver import InitialMeasure
 
 
 class TestK1:
@@ -257,6 +258,28 @@ class TestGamma:
         assert set(record) == {"lam", "gamma0", "theta_at_gamma0",
                                "residual", "mode_cutoff"}
         assert json.loads(json.dumps(record)) == record
+
+
+class TestDimensionThree:
+    """At d = 3 the zeta tail of k1_integral would sum the lattice to kmax
+    3544: it and each route through it refuse by name; k1_laplace runs."""
+
+    SPEC = NoiseSpec(d=3, alpha=0.8, rho=1.0, lam=1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda spec: mc.k1_integral(0.5, spec),
+        lambda spec: mc.hn_table(spec, 2, np.linspace(0, 1, 11)),
+        lambda spec: mc.H_lambda(spec, 0.5),
+        lambda spec: mc.p_moment_upper(0.5, [0.0, 0.0, 0.0], 2.0,
+                                       InitialMeasure.uniform(1.0), spec),
+    ])
+    def test_refused_by_name(self, call):
+        with pytest.raises(DomainError, match="k1_integral at d = 3 needs its "
+                           "zeta tail summed to the lattice cutoff 3544"):
+            call(self.SPEC)
+
+    def test_laplace_transform_runs(self):
+        assert 0.0 < mc.k1_laplace(1.0, self.SPEC) < math.inf
 
 
 class TestBounds:
