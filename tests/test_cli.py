@@ -408,9 +408,10 @@ def _fresh(code):
 
 
 # every subcommand that runs no quadrature or Sobol draw (the Ewald split's
-# incomplete gamma is numpy's own)
+# incomplete gamma, the Riesz constant and k1_laplace's tail are closed forms)
 SCIPY_FREE = ["kernel-eval", "kernel-verify", "cov-rho-star", "noise-sample",
-              "noise-verify", "simulate", "two-point", "feynman-kac",
+              "noise-verify", "moments-table", "gamma0", "simulate",
+              "mc-moments", "two-point", "resolvent", "feynman-kac",
               "ergodic-check", "holder"]
 
 
@@ -428,6 +429,24 @@ class TestColdStart:
             f"assert main({[c, *SMOKE[c][0], '--out', str(tmp_path / c)]!r})"
             " in (0, 2)\n" for c in SCIPY_FREE)
         assert _fresh(code) == []
+
+    def test_moment_bound_route_loads_no_scipy(self):
+        # gamma0, H_lambda's march and the lower bound's covariance scan
+        assert _fresh(
+            "import numpy as np\n"
+            "from torpam import experiments as ex, moment_calculus as mc\n"
+            "from torpam.covariance import NoiseSpec\n"
+            "from torpam.pam_solver import InitialMeasure, SolverConfig\n"
+            "spec = NoiseSpec(d=1, alpha=0.3, rho=5.0, lam=0.5)\n"
+            "mu = InitialMeasure.uniform(1.0)\n"
+            "mc.gamma0(2.0, spec)\n"
+            "mc.p_moment_upper(0.5, [0.0], 2.0, mu, spec)\n"
+            "mc.hn_table(spec, 2, np.linspace(0.0, 1.0, 11))\n"
+            "config = SolverConfig(spec=spec, grid_n=16, mode_k=5, dt=0.01,\n"
+            "                      t_final=0.02)\n"
+            "[row] = ex.moment_bound_report(config, mu, 8, [0.02], [0.0],\n"
+            "                               rho_suff=5.0)\n"
+            "assert 'lower' in row\n") == []
 
     def test_deferred_import_resolves(self, tmp_path):
         argv = ["cov-eval", "--alpha", "0.3", "--x", "1", "--out",

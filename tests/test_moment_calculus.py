@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from torpam import moment_calculus as mc
 from torpam.covariance import NoiseSpec
 from torpam.errors import DalangViolation, DomainError, NumericsError
 from torpam.heat_kernel import TWO_PI
+from torpam.lattice import lattice_r2, sphere_area
 from torpam.pam_solver import InitialMeasure
 
 
@@ -75,6 +76,47 @@ class TestK1:
         assert mc.k1(s, spec_d1, kmax=64) == pytest.approx(single, rel=1e-14)
 
 
+class TestLaplaceTail:
+    """k1_laplace's radial tail is omega K^{d-2-2a} / (2b) 2F1(1, b; b+1; -z):
+    the 2F1 against scipy's and the elementary forms at b = 1/2 and 1."""
+
+    Z = np.array([0.0, 1e-12, 1e-6, 0.01, 0.5, 1.0, 2.0, 2.0 + 1e-9, 3.0, 10.0,
+                  1e3, 6e4, 1e6, 1e9, 1e12])
+
+    # scipy's hyp2f1 at b = 1 is off by 3.6e-12 at z = 1e6 and 8.0e-7 at
+    # 1e12 against mpmath, so there it is read to z = 1e3 and the log1p
+    # form below covers the rest
+    @pytest.mark.parametrize("b, z_max", [(0.2, 1e12), (0.5, 1e12), (0.8, 1e12),
+                                          (1.0, 1e3), (1.3, 1e12), (2.0, 1e12)])
+    def test_against_scipy(self, b, z_max):
+        z = self.Z[self.Z <= z_max]
+        got = [mc._hyp2f1_1b(b, v) for v in z]
+        assert got == pytest.approx(special.hyp2f1(1.0, b, b + 1.0, -z),
+                                    rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("b, form", [
+        (0.5, lambda z: math.atan(math.sqrt(z)) / math.sqrt(z)),
+        (1.0, lambda z: math.log1p(z) / z),
+    ])
+    def test_elementary_forms(self, b, form):
+        for z in self.Z[1:]:
+            assert mc._hyp2f1_1b(b, z) == pytest.approx(form(z), rel=1e-13,
+                                                        abs=0.0)
+        assert mc._hyp2f1_1b(b, 0.0) == 1.0
+
+    def test_large_gamma_at_d2(self):
+        # b = 1/2: the tail is 2 pi arctan(sqrt(gamma) / K) / sqrt(gamma);
+        # the quadrature it replaces returned -6.3e-12 for it at gamma 1e12
+        spec = NoiseSpec(d=2, alpha=0.5, rho=1.0)
+        gamma, kmax = 1e12, mc._laplace_kmax(2)
+        r2, counts = lattice_r2(2, kmax)
+        main = float(np.sum(counts / np.sqrt(r2) / (r2 + gamma)))
+        tail = TWO_PI * math.atan(math.sqrt(gamma) / kmax) / math.sqrt(gamma)
+        end = math.pi / (kmax**2 + gamma)
+        exact = (1.0 / gamma + main + tail + end) / TWO_PI
+        assert mc.k1_laplace(gamma, spec) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
 class TestK2:
     def test_scaling_exponent(self):
         spec = NoiseSpec(d=2, alpha=1.0, rho=0.0)
@@ -84,8 +126,17 @@ class TestK2:
 
     @pytest.mark.parametrize("d,alpha", [(1, 0.3), (1, 0.45), (2, 0.5), (2, 0.9)])
     def test_constant_from_quadrature(self, d, alpha):
+        # the defining integral c_{d,a} omega_d int_0^oo r^{d-1-2a} e^{-r^2/2} dr,
+        # with c_{d,a} = 2^{2a-d/2} Gamma(a) / Gamma(d/2 - a) the Fourier
+        # constant of |x|^{-d+2a}; r = v^{1/(1+p)} flattens the endpoint power
+        p = d - 1.0 - 2.0 * alpha
+        q = 1.0 / (1.0 + p)
+        val, _ = integrate.quad(lambda v: q * math.exp(-(v ** (2.0 * q)) / 2.0),
+                                0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=300)
+        c = (2.0 ** (2.0 * alpha - d / 2.0) * math.gamma(alpha)
+             / math.gamma(d / 2.0 - alpha))
         assert mc.riesz_gaussian_constant(d, alpha) == pytest.approx(
-            mc.riesz_gaussian_constant_closed(d, alpha), abs=1e-8)
+            c * sphere_area(d) * val, rel=1e-12)
 
     def test_laplace_constant(self):
         # int e^{-g s} C s^{a-d/2} ds = C Gamma(a+1-d/2) g^{-(a+1-d/2)}
