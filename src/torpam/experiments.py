@@ -176,17 +176,23 @@ def _volterra_level(prev, weight, gq, dt, cell, propagate, end_lo):
     """cur(t_i) = int_0^{t_i} propagate(G(t_i - s), weight * prev(s)) ds
     by the trapezoid rule in s on uniform nodes, prev[j - 1] and gq[j]
     sampling t_j; the analytic endpoints are G(0) = identity on the q grid
-    at s = t_i and ``end_lo(i)`` (None: zero) at s = 0."""
+    at s = t_i and ``end_lo(i)`` (None: zero) at s = 0.  Each source node
+    ``prev[j - 1] * weight`` is formed once (the whole level's would copy it)
+    and added into every later t_i in ascending j, as a sum over s."""
     cur = np.zeros_like(prev)
-    for i in range(1, len(prev) + 1):
-        acc = np.zeros_like(prev[0])
-        for jj in range(1, i):
-            acc += propagate(gq[i - jj], prev[jj - 1] * weight)
-        total = dt * acc * cell**2
-        lo = 0.0 if end_lo is None else end_lo(i)
-        total += 0.5 * dt * (lo + prev[i - 1] * weight)
-        cur[i - 1] = total
+    for j in range(1, len(prev) + 1):
+        source = prev[j - 1] * weight
+        lo = 0.0 if end_lo is None else end_lo(j)
+        cur[j - 1] = dt * cur[j - 1] * cell**2 + 0.5 * dt * (lo + source)
+        for i in range(j + 1, len(prev) + 1):
+            cur[i - 1] += propagate(gq[i - j], source)
     return cur
+
+
+def _propagate_pairs(gz, inner):
+    """einsum("xz,yw,azbw->axby", gz, gz, inner) as two matmuls."""
+    return np.matmul(gz, np.matmul(inner, gz.T).transpose(0, 2, 1, 3)
+                     ).transpose(0, 2, 1, 3)
 
 
 def resolvent_Ln(spec, n_max, t_grid, a_grid_n=9, q_grid_n=33,
@@ -232,16 +238,13 @@ def resolvent_Ln(spec, n_max, t_grid, a_grid_n=9, q_grid_n=33,
     gq = [None] + [  # G(t_j, q - q') for j >= 1
         _kernel_matrix(t[j], q_grid, q_grid) for j in range(1, n_t)]
 
-    def propagate(gz, inner):
-        return np.einsum("xz,yw,azbw->axby", gz, gz, inner, optimize=True)
-
     def end_lo(i):  # L_0 collapses to point masses at (a, b)
         return np.einsum("aq,br,ab->aqbr", g_aq[i - 1], g_aq[i - 1],
                          f_pairs_aa)
 
     for n in range(1, n_max + 1):
         levels.append(_volterra_level(
-            levels[n - 1], fq[None, :, None, :], gq, dt, cell, propagate,
+            levels[n - 1], fq[None, :, None, :], gq, dt, cell, _propagate_pairs,
             end_lo if n == 1 else None))
     return ResolventTable(spec=spec, t_grid=t, a_grid=a_grid, q_grid=q_grid,
                           values=levels)

@@ -9,8 +9,8 @@ flattening constant ``Theta_{eps,d}``, and pointwise checks of the
 sandwich and Hoelder-increment inequalities.
 
 All evaluators are pure functions of their arguments and broadcast over
-numpy arrays.  A single point at a single time takes a scalar route that
-gives the same bits as the array route.
+numpy arrays.  A single point at a single time takes a point route, one
+``np.exp`` call per evaluation, that gives the same bits as the array route.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ class KernelConfig:
 
 
 DEFAULT_CONFIG = KernelConfig()
+_LOG_TAIL = math.log(1.0 / DEFAULT_CONFIG.tail_tol)  # fixes the term counts
 
 
 @dataclass(frozen=True)
@@ -109,14 +110,17 @@ def gauss_kernel(t, x):
 
 
 # Route choice.  A 0-d t and a single point (a float, a length-d sequence
-# or array, a TorusPoint) take the scalar route: t and the coordinates are
-# Python floats, each series call evaluates all its exponentials in one
-# np.exp over a list and adds them as floats, in the order the array route
-# adds them.  Anything else takes the array route, which adds one term array
-# at a time to bound the memory of large batches.  np.exp and np.cos give
-# the same bits on a list as on an array, so the two routes agree bitwise.
+# or array, a TorusPoint) take the point route: on Python floats, one np.exp
+# call for every term and Gaussian factor of all coordinates (the cosine
+# series adds one np.cos), the terms added one by one in the order of the
+# array route (sum() compensates from Python 3.12 on).  Anything else takes
+# the array route, which adds one term array at a time to bound the memory
+# of large batches.  np.exp, np.cos and np.log give the same bits on a list
+# as on an array, so the two routes agree bitwise.
 def _time(name, t):
     """``t`` refused unless positive; a Python float when 0-d."""
+    if isinstance(t, float) and t > 0.0:
+        return float(t)
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
         t = float(t)
@@ -130,20 +134,23 @@ def _time(name, t):
     return t
 
 
-def _route(name, t, xa):
-    """Validated ``(t, cols)`` for the coordinate array ``xa``, one entry of
-    ``cols`` per axis: Python floats on the scalar route, the arrays
-    ``xa[..., i]`` on the array route."""
-    t = _time(name, t)
-    if isinstance(t, float) and xa.ndim == 1:
-        cols = xa.tolist()
-        finite = all(map(math.isfinite, cols))
-    else:
-        cols = [xa[..., i] for i in range(xa.shape[-1])]
-        finite = np.all(np.isfinite(xa))
-    if not finite:
+def _route(name, t, x):
+    """Validated ``(t, cols)``, one entry of ``cols`` per axis of ``x``: floats
+    on the point route, arrays on the array route.  A float t with a float or
+    1-d float array x, as the covariance quadratures pass, is not converted."""
+    if isinstance(t, float) and (isinstance(x, float) or isinstance(
+            x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64):
+        cols = [float(x)] if isinstance(x, float) else x.tolist()
+        if t > 0.0 and cols and all(map(math.isfinite, cols)):
+            return float(t), cols
+    t, xa = _time(name, t), as_coords(x)
+    if xa.shape[-1] == 0:
+        raise DomainError(f"{name} requires at least one coordinate")
+    if not np.all(np.isfinite(xa)):
         raise DomainError(f"{name} requires finite x")
-    return t, cols
+    if isinstance(t, float) and xa.ndim == 1:
+        return t, xa.tolist()
+    return np.asarray(t), [xa[..., i] for i in range(xa.shape[-1])]
 
 
 def _reduce(x):
@@ -177,7 +184,7 @@ def _image_terms(t_max):
     2 pi k weigh exp(-(2 pi k - pi)^2 / 2t) at most, below tail_tol from
     k = (width + pi) / 2 pi on; one more term for margin.  Refused above
     t ~ 2230."""
-    width = math.sqrt(2.0 * t_max * math.log(1.0 / DEFAULT_CONFIG.tail_tol))
+    width = math.sqrt(2.0 * t_max * _LOG_TAIL)
     return _term_count((width + math.pi) / TWO_PI, "image", t_max)
 
 
@@ -185,7 +192,7 @@ def _cosine_terms(t_min):
     """Cosine-series term count at smallest time ``t_min``: terms fall below
     tail_tol from n^2 t / 2 = log(1 / tail_tol) on.  Refused below
     t ~ 0.0174."""
-    n_cut = math.sqrt(2.0 * math.log(1.0 / DEFAULT_CONFIG.tail_tol) / t_min)
+    n_cut = math.sqrt(2.0 * _LOG_TAIL / t_min)
     return _term_count(n_cut, "cosine", t_min)
 
 
@@ -193,15 +200,6 @@ def _image_ratio(t, x):
     """G_1(t, x) / p_1(t, x) = 1 + sum_{k>=1} [exp(-2 pi k (pi k - x) / t)
     + exp(-2 pi k (pi k + x) / t)] for x in [-pi, pi): every exponent is
     nonpositive, so no term overflows."""
-    if isinstance(t, float) and isinstance(x, float):
-        exponents = []
-        for k in range(1, _image_terms(t) + 1):
-            c, shift = TWO_PI * k / t, math.pi * k
-            exponents += (c * (x - shift), c * (-shift - x))
-        acc = 1.0
-        for term in np.exp(exponents).tolist():
-            acc += term
-        return np.float64(acc)
     acc = 1.0  # an array from the first of at least two terms on
     for k in range(1, _image_terms(float(np.max(t))) + 1):
         c, shift = TWO_PI * k / t, math.pi * k
@@ -214,14 +212,6 @@ def _image_ratio(t, x):
 def _cosine_tail(t, x):
     """2 sum_{n>=1} exp(-n^2 t / 2) cos(n x), so that
     G_1(t, x) = (1 + _cosine_tail(t, x)) / (2 pi)."""
-    if isinstance(t, float) and isinstance(x, float):
-        ns = range(1, _cosine_terms(t) + 1)
-        decays = np.exp([-n * n * t / 2.0 for n in ns]).tolist()
-        waves = np.cos([n * x for n in ns]).tolist()
-        acc = 0.0
-        for decay, wave in zip(decays, waves):
-            acc += decay * wave
-        return np.float64(2.0 * acc)
     acc = 0.0  # an array from the first of at least two terms on
     for n in range(1, _cosine_terms(float(np.min(t))) + 1):
         acc = acc + np.exp(-n * n * t / 2.0) * np.cos(n * x)
@@ -243,10 +233,7 @@ _cosine_nd = partial(_product, _cosine_1d)
 
 def _by_series(image, cosine, t, cols):
     """image(t, cols) where t <= t_switch, cosine(t, cols) above: a batch
-    that straddles the switch is split, so each entry gets its own series
-    (a single t picks one with no numpy call)."""
-    if isinstance(t, float):
-        return (image if t <= DEFAULT_CONFIG.t_switch else cosine)(t, cols)
+    that straddles the switch is split, so each entry gets its own series."""
     low = t <= DEFAULT_CONFIG.t_switch
     if low.all():
         return image(t, cols)
@@ -260,10 +247,61 @@ def _by_series(image, cosine, t, cols):
     return out
 
 
+def _image_point(t, cols):
+    """[(G_1 / p_1, exp(-x^2 / 2t)) at x = _reduce(xi) for xi in cols], one
+    np.exp call for all of them."""
+    n = _image_terms(t)
+    exponents = []
+    for x in cols:
+        x = (x + math.pi) % TWO_PI - math.pi  # _reduce without its call
+        exponents.append(-x * x / (2.0 * t))
+        for k in range(1, n + 1):
+            c = TWO_PI * k / t
+            exponents += (c * (x - math.pi * k), c * (-math.pi * k - x))
+    terms = np.exp(exponents).tolist()
+    out = []
+    for i in range(0, len(terms), 2 * n + 1):
+        acc = 1.0
+        for term in terms[i + 1:i + 2 * n + 1]:
+            acc += term
+        out.append((acc, terms[i]))
+    return out
+
+
+def _cosine_point(t, cols):
+    """[1 + _cosine_tail(t, x) for x in cols], one np.exp and one np.cos
+    call for all of them."""
+    ns = range(1, _cosine_terms(t) + 1)
+    decays = np.exp([-n * n * t / 2.0 for n in ns]).tolist()
+    waves = iter(np.cos([n * x for x in cols for n in ns]).tolist())
+    out = []
+    for _ in cols:
+        acc = 0.0
+        for decay in decays:
+            acc += decay * next(waves)
+        out.append(1.0 + 2.0 * acc)
+    return out
+
+
+def _point_kernel(t, cols, image):
+    """G_d(t, cols) at one point, by the image sum (``image``) or cosines."""
+    out = 1.0
+    if image:
+        root = math.sqrt(TWO_PI * t)
+        for ratio, gauss in _image_point(t, cols):
+            out *= ratio * (gauss / root)
+    else:
+        for c in _cosine_point(t, cols):
+            out *= c / TWO_PI
+    return np.float64(out)
+
+
 def heat_kernel_1d_image(t, x):
     """G_1(t, x) by the Gaussian image sum, efficient for small t."""
     t, [x] = _route("heat_kernel_1d_image", t,
                     np.asarray(x, dtype=float)[..., None])
+    if isinstance(t, float):
+        return _point_kernel(t, [x], True)
     return _image_1d(t, x)
 
 
@@ -271,6 +309,8 @@ def heat_kernel_1d_spectral(t, x):
     """G_1(t, x) by the Fourier cosine series, efficient for large t."""
     t, [x] = _route("heat_kernel_1d_spectral", t,
                     np.asarray(x, dtype=float)[..., None])
+    if isinstance(t, float):
+        return _point_kernel(t, [x], False)
     return _cosine_1d(t, x)
 
 
@@ -282,7 +322,9 @@ def heat_kernel(t, x):
     the switch.  ``x`` may be a scalar (d = 1), a length-d sequence, or an
     array whose last axis is the coordinate axis; leading axes broadcast.
     """
-    t, cols = _route("heat_kernel", t, as_coords(x))
+    t, cols = _route("heat_kernel", t, x)
+    if isinstance(t, float):
+        return _point_kernel(t, cols, t <= DEFAULT_CONFIG.t_switch)
     return _by_series(_image_nd, _cosine_nd, t, cols)
 
 
@@ -296,13 +338,15 @@ def theta_c(t, form="auto"):
     takes, per entry, ``"s"`` up to ``t = 2*pi`` and ``"s_prime"`` above.
     """
     t = _time("theta_c", t)
+    if form not in ("auto", "s", "s_prime"):
+        raise DomainError(f"unknown form {form!r}")
+    if isinstance(t, float):
+        if form == "s" or form == "auto" and t <= DEFAULT_CONFIG.t_switch:
+            return np.float64(_image_point(t, [0.0])[0][0])
+        return np.float64(math.sqrt(t / TWO_PI) * _cosine_point(t, [0.0])[0])
     if form == "auto":
         return _by_series(_theta_s, _theta_s_prime, t, [])
-    if form == "s":
-        return _theta_s(t, [])
-    if form == "s_prime":
-        return _theta_s_prime(t, [])
-    raise DomainError(f"unknown form {form!r}")
+    return (_theta_s if form == "s" else _theta_s_prime)(t, [])
 
 
 def _theta_s(t, _):
@@ -315,23 +359,31 @@ def _theta_s_prime(t, _):
 
 def log_heat_kernel(t, x):
     """log G_d(t, x), stable where G underflows (small t, |x| near pi)."""
-    t, cols = _route("log_heat_kernel", t, as_coords(x))
-    return _by_series(_log_image, lambda t, cols: np.log(_cosine_nd(t, cols)),
-                      t, [_reduce(xi) for xi in cols])
+    t, cols = _route("log_heat_kernel", t, x)
+    xs = [_reduce(xi) for xi in cols]
+    if not isinstance(t, float):
+        return _by_series(lambda t, xs: _log_image(t, xs, [_image_ratio(t, xi) for xi in xs]),
+                          lambda t, xs: np.log(_cosine_nd(t, xs)), t, xs)
+    if t <= DEFAULT_CONFIG.t_switch:
+        return _log_image(t, xs, [ratio for ratio, _ in _image_point(t, cols)])
+    return np.log(_point_kernel(t, xs, False))
 
 
-def _log_image(t, cols):
-    """sum_i log G_1(t, cols[i]) from the image series in log form."""
+def _log_image(t, cols, ratios):
+    """sum_i log G_1(t, cols[i]) from the image series in log form, given
+    ``ratios[i] = G_1 / p_1`` at ``cols[i]``."""
     out = 0.0
-    for xi in cols:
+    for xi, ratio in zip(cols, ratios):
         out = out + (-0.5 * np.log(TWO_PI * t) - xi * xi / (2.0 * t)
-                     + np.log(_image_ratio(t, xi)))
+                     + np.log(ratio))
     return out
 
 
 def kernel_ratio(t, x):
     """G_d(t, x) / p_d(t, signed_mod(x)) evaluated without under/overflow."""
-    t, cols = _route("kernel_ratio", t, as_coords(x))
+    t, cols = _route("kernel_ratio", t, x)
+    if isinstance(t, float):
+        return np.float64(math.prod(ratio for ratio, _ in _image_point(t, cols)))
     return _product(_image_ratio, t, [_reduce(xi) for xi in cols])
 
 

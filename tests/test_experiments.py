@@ -177,7 +177,64 @@ class TestThreadCount:
             {(runs[0].value, runs[0].std_err)}
 
 
+def _einsum_pairs(gz, inner):
+    return np.einsum("xz,yw,azbw->axby", gz, gz, inner)
+
+
+def _volterra_by_target(prev, weight, gq, dt, cell, propagate, end_lo):
+    """The Volterra level with the target node t_i on the outside and a
+    fresh accumulator per node: the reference for ex._volterra_level."""
+    cur = np.zeros_like(prev)
+    for i in range(1, len(prev) + 1):
+        acc = np.zeros_like(prev[0])
+        for jj in range(1, i):
+            acc += propagate(gq[i - jj], prev[jj - 1] * weight)
+        total = dt * acc * cell**2
+        lo = 0.0 if end_lo is None else end_lo(i)
+        total += 0.5 * dt * (lo + prev[i - 1] * weight)
+        cur[i - 1] = total
+    return cur
+
+
 class TestResolvent:
+    # positive entries, as the kernel and covariance tables have: no
+    # cancellation, so the matmul and einsum sums of 33 x 33 products agree
+    # to a few ulp entrywise
+    REL = 1e-13
+
+    def test_propagation_matches_einsum(self):
+        rng = np.random.default_rng(27)
+        gz, inner = rng.uniform(size=(33, 33)), rng.uniform(size=(7, 33, 7, 33))
+        want = _einsum_pairs(gz, inner)
+        got = ex._propagate_pairs(gz, inner)
+        assert np.max(np.abs(got - want) / want) <= self.REL
+
+    def test_volterra_level_matches_einsum_reference(self):
+        rng = np.random.default_rng(28)
+        prev = rng.uniform(size=(5, 7, 33, 7, 33))
+        weight = rng.uniform(size=(1, 33, 1, 33))
+        gq = [None] + [rng.uniform(size=(33, 33)) for _ in range(5)]
+        lows = rng.uniform(size=(5, 7, 33, 7, 33))
+        for end_lo in (None, lambda i: lows[i - 1]):
+            want = _volterra_by_target(prev, weight, gq, 0.05, 0.19,
+                                       _einsum_pairs, end_lo)
+            got = ex._volterra_level(prev, weight, gq, 0.05, 0.19,
+                                     ex._propagate_pairs, end_lo)
+            assert np.max(np.abs(got - want) / want) <= self.REL
+
+    def test_volterra_level_keeps_summation_order(self):
+        # two_point's propagate: each level must come out bit for bit
+        rng = np.random.default_rng(29)
+        prev, weight = rng.uniform(size=(6, 33, 33)), rng.uniform(size=(33, 33))
+        gq = [None] + [rng.uniform(size=(33, 33)) for _ in range(6)]
+        lows = rng.uniform(size=(6, 33, 33))
+
+        def propagate(gz, inner):
+            return gz @ inner @ gz.T
+        for end_lo in (None, lambda i: lows[i - 1]):
+            args = (prev, weight, gq, 0.05, 0.19, propagate, end_lo)
+            assert np.array_equal(ex._volterra_level(*args), _volterra_by_target(*args))
+
     def test_l0_identity(self, spec_d1):
         tg = np.linspace(0, 1.0, 11)
         tab = ex.resolvent_Ln(spec_d1, 0, tg, a_grid_n=5, q_grid_n=17)
@@ -233,6 +290,15 @@ class TestTwoPoint:
         rep = ex.two_point(spec, mu, 1.0, [0.5], [-0.7], n_max=2)
         target = float(j0(1.0, [0.5], mu)) * float(j0(1.0, [-0.7], mu))
         assert rep["value"] == pytest.approx(target, rel=1e-10)
+
+    def test_same_bits_as_target_loop(self, monkeypatch):
+        spec = NoiseSpec(d=1, alpha=0.3, rho=1.0, lam=1.0)
+        mu = InitialMeasure.uniform(1.0)
+        got = ex.two_point(spec, mu, 1.0, [0.5], [-0.7], n_max=3)
+        monkeypatch.setattr(ex, "_volterra_level", _volterra_by_target)
+        want = ex.two_point(spec, mu, 1.0, [0.5], [-0.7], n_max=3)
+        assert repr(got["contributions"]) == repr(want["contributions"])
+        assert repr(got["value"]) == repr(want["value"])
 
     def test_symmetry(self, spec_d1):
         mu = InitialMeasure.uniform(1.0)

@@ -357,7 +357,7 @@ class TestDomain:
     @pytest.mark.parametrize("t", [0.5, 10.0], ids=["image", "cosine"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_x(self, t, bad):
-        for x in (bad, [0.1, bad], np.array([[0.1], [bad]])):
+        for x in (bad, [0.1, bad], np.array([0.1, bad]), np.array([[0.1], [bad]])):
             with pytest.raises(DomainError):
                 hk.heat_kernel(t, x)
             with pytest.raises(DomainError):
@@ -365,6 +365,13 @@ class TestDomain:
         one_d = hk.heat_kernel_1d_image if t < 1 else hk.heat_kernel_1d_spectral
         with pytest.raises(DomainError):
             one_d(t, bad)
+
+    @pytest.mark.parametrize("f", [hk.heat_kernel, hk.log_heat_kernel,
+                                   hk.kernel_ratio])
+    @pytest.mark.parametrize("x", [[], np.array([])])
+    def test_rejects_empty_point(self, f, x):
+        with pytest.raises(DomainError, match="at least one coordinate"):
+            f(0.5, x)
 
     @pytest.mark.parametrize("f", [hk.heat_kernel, hk.log_heat_kernel,
                                    hk.kernel_ratio, hk.heat_kernel_1d_image,
@@ -375,11 +382,13 @@ class TestDomain:
             f(t, 0.5)
 
 
-# times on both sides of t_switch, coordinates anywhere on the line and
-# within 1e-9 of +-pi
-TIMES = st.one_of(st.floats(1e-3, 200.0),
-                  st.sampled_from([hk.DEFAULT_CONFIG.t_switch,
-                                   math.nextafter(hk.DEFAULT_CONFIG.t_switch, 7.0)]))
+# times on both sides of t_switch, some as np.float64 (the covariance
+# quadratures pass both), coordinates anywhere on the line and within 1e-9
+# of +-pi
+_FLOAT_TIMES = st.one_of(st.floats(1e-3, 200.0),
+                         st.sampled_from([hk.DEFAULT_CONFIG.t_switch,
+                                          math.nextafter(hk.DEFAULT_CONFIG.t_switch, 7.0)]))
+TIMES = st.one_of(_FLOAT_TIMES, _FLOAT_TIMES.map(np.float64))
 COORDINATES = st.one_of(st.floats(-10.0, 10.0),
                         st.floats(0.0, 1e-9).map(lambda e: PI - e),
                         st.floats(0.0, 1e-9).map(lambda e: -PI + e))
@@ -387,13 +396,15 @@ COORDINATES = st.one_of(st.floats(-10.0, 10.0),
 
 @st.composite
 def single_points(draw):
-    """(point as given, its coordinates): a float (d = 1), a list or a
-    TorusPoint, d = 1..3."""
+    """(point as given, its coordinates): a float (d = 1), a list, a 1-d
+    float array or a TorusPoint, d = 1..3."""
     coords = draw(st.lists(COORDINATES, min_size=1, max_size=3))
-    kinds = ["list", "torus"] + (["float"] if len(coords) == 1 else [])
+    kinds = ["list", "array", "torus"] + (["float"] if len(coords) == 1 else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "float":
         return coords[0], coords
+    if kind == "array":
+        return np.array(coords), coords
     if kind == "torus":
         point = hk.TorusPoint(coords)
         return point, list(point.coords)
