@@ -212,13 +212,12 @@ def _cov_rho_star(a, spec, files):
                                   ("dt", float, 0.01)],
           "noise_sample.json", run=("seed", "format"))
 def _noise_sample(a, spec, files):
-    inc = nf.sample_increment(spec, a.kmax, a.dt, a.grid_n, a.seed)
-    files["increment.npy"] = inc.values
+    field = nf.IncrementSampler(spec, a.kmax, a.grid_n, a.dt).draw(a.seed, 0)
+    files["increment.npy"] = field
     if a.format == "csv":
-        files["increment.csv"] = inc.values.reshape(a.grid_n, -1)
+        files["increment.csv"] = field.reshape(a.grid_n, -1)
     return {"grid_n": a.grid_n, "dt": a.dt,
-            "field_min": float(np.min(inc.values)),
-            "field_max": float(np.max(inc.values))}
+            "field_min": float(np.min(field)), "field_max": float(np.max(field))}
 
 
 @_command("noise-verify", SPEC + [("grid-n", int, 33), ("dt", float, 0.1),

@@ -46,15 +46,13 @@ class MomentEstimate:
     std_err: float
     n_samples: int
 
-    def within(self, target, n_se=3.0):
-        return abs(self.value - target) <= n_se * max(self.std_err, 1e-300)
-
 
 def mc_moments(config, mu, p, n_samples, t_list, x_list, seed=0,
                n_chunks=1, threads=1):
-    """Ensemble moment estimates E[u(t,x)^p] at the grid points nearest to
-    the requested x (reported as ``x_grid``), with jackknife standard
-    errors.
+    """Ensemble moment estimates E[u(t,x)^p] for an even integer p, and
+    E|u(t,x)|^p otherwise (the field can go negative), at the grid points
+    nearest to the requested x (reported as ``x_grid``), with jackknife
+    standard errors.
 
     The ensemble splits into ``n_chunks`` fixed chunks on the noise
     streams 0..n_chunks-1, mapped over a pool of ``threads`` threads; the

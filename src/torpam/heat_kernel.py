@@ -9,8 +9,9 @@ flattening constant ``Theta_{eps,d}``, and pointwise checks of the
 sandwich and Hoelder-increment inequalities.
 
 All evaluators are pure functions of their arguments and broadcast over
-numpy arrays.  A single point at a single time takes a point route, one
-``np.exp`` call per evaluation, that gives the same bits as the array route.
+numpy arrays.  In ``heat_kernel``, the two 1-d series and ``theta_c`` a
+single point at a single time takes a point route, one ``np.exp`` call per
+evaluation, that gives the same bits as the array route.
 """
 
 from __future__ import annotations
@@ -109,14 +110,16 @@ def gauss_kernel(t, x):
     return (TWO_PI * t) ** (-xa.shape[-1] / 2.0) * np.exp(-sq / (2.0 * t))
 
 
-# Route choice.  A 0-d t and a single point (a float, a length-d sequence
-# or array, a TorusPoint) take the point route: on Python floats, one np.exp
+# Route choice.  In heat_kernel and the two 1-d series, a 0-d t and a
+# single point (a float, a length-d sequence or array, a TorusPoint) take
+# the point route, as does a 0-d t in theta_c: on Python floats, one np.exp
 # call for every term and Gaussian factor of all coordinates (the cosine
 # series adds one np.cos), the terms added one by one in the order of the
 # array route (sum() compensates from Python 3.12 on).  Anything else takes
 # the array route, which adds one term array at a time to bound the memory
 # of large batches.  np.exp, np.cos and np.log give the same bits on a list
-# as on an array, so the two routes agree bitwise.
+# as on an array, so the two routes agree bitwise.  log_heat_kernel and
+# kernel_ratio run the array route on a 0-d t too.
 def _time(name, t):
     """``t`` refused unless positive; a Python float when 0-d."""
     if isinstance(t, float) and t > 0.0:
@@ -328,62 +331,43 @@ def heat_kernel(t, x):
     return _by_series(_image_nd, _cosine_nd, t, cols)
 
 
-def theta_c(t, form="auto"):
+def theta_c(t):
     """Theta-constant C_t relating torus and Euclidean kernels.
 
-    Two equivalent expressions are available: the direct sum
-    ``sum_n exp(-2 n^2 pi^2 / t)`` (form ``"s"``, fast for small t) and the
-    rescaled sum ``sqrt(t/2pi) * sum_n exp(-n^2 t / 2)`` (form ``"s_prime"``,
-    fast for large t): the image and cosine series at x = 0.  ``"auto"``
-    takes, per entry, ``"s"`` up to ``t = 2*pi`` and ``"s_prime"`` above.
+    Per entry, the direct sum ``sum_n exp(-2 n^2 pi^2 / t)`` (the image
+    series at x = 0, fast for small t) up to ``t = 2*pi``, and above it the
+    rescaled sum ``sqrt(t/2pi) * sum_n exp(-n^2 t / 2)`` (the cosine series
+    at x = 0, fast for large t).
     """
     t = _time("theta_c", t)
-    if form not in ("auto", "s", "s_prime"):
-        raise DomainError(f"unknown form {form!r}")
     if isinstance(t, float):
-        if form == "s" or form == "auto" and t <= DEFAULT_CONFIG.t_switch:
+        if t <= DEFAULT_CONFIG.t_switch:
             return np.float64(_image_point(t, [0.0])[0][0])
         return np.float64(math.sqrt(t / TWO_PI) * _cosine_point(t, [0.0])[0])
-    if form == "auto":
-        return _by_series(_theta_s, _theta_s_prime, t, [])
-    return (_theta_s if form == "s" else _theta_s_prime)(t, [])
-
-
-def _theta_s(t, _):
-    return _image_ratio(t, 0.0)
-
-
-def _theta_s_prime(t, _):
-    return np.sqrt(t / TWO_PI) * (1.0 + _cosine_tail(t, 0.0))
+    return _by_series(lambda t, _: _image_ratio(t, 0.0),
+                      lambda t, _: np.sqrt(t / TWO_PI) * (1.0 + _cosine_tail(t, 0.0)),
+                      t, [])
 
 
 def log_heat_kernel(t, x):
     """log G_d(t, x), stable where G underflows (small t, |x| near pi)."""
     t, cols = _route("log_heat_kernel", t, x)
-    xs = [_reduce(xi) for xi in cols]
-    if not isinstance(t, float):
-        return _by_series(lambda t, xs: _log_image(t, xs, [_image_ratio(t, xi) for xi in xs]),
-                          lambda t, xs: np.log(_cosine_nd(t, xs)), t, xs)
-    if t <= DEFAULT_CONFIG.t_switch:
-        return _log_image(t, xs, [ratio for ratio, _ in _image_point(t, cols)])
-    return np.log(_point_kernel(t, xs, False))
+    return _by_series(_log_image, lambda t, xs: np.log(_cosine_nd(t, xs)),
+                      np.asarray(t), [_reduce(xi) for xi in cols])
 
 
-def _log_image(t, cols, ratios):
-    """sum_i log G_1(t, cols[i]) from the image series in log form, given
-    ``ratios[i] = G_1 / p_1`` at ``cols[i]``."""
+def _log_image(t, cols):
+    """sum_i log G_1(t, cols[i]) from the image series in log form."""
     out = 0.0
-    for xi, ratio in zip(cols, ratios):
+    for xi in cols:
         out = out + (-0.5 * np.log(TWO_PI * t) - xi * xi / (2.0 * t)
-                     + np.log(ratio))
+                     + np.log(_image_ratio(t, xi)))
     return out
 
 
 def kernel_ratio(t, x):
     """G_d(t, x) / p_d(t, signed_mod(x)) evaluated without under/overflow."""
     t, cols = _route("kernel_ratio", t, x)
-    if isinstance(t, float):
-        return np.float64(math.prod(ratio for ratio, _ in _image_point(t, cols)))
     return _product(_image_ratio, t, [_reduce(xi) for xi in cols])
 
 

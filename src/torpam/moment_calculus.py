@@ -178,14 +178,13 @@ def k1_laplace(gamma, spec):
     """int_0^oo e^{-gamma s} k1(s) ds by the mode sum
     rho (2 pi)^{-d/2} / gamma + (2 pi)^{-d/2} sum_k |k|^{-2a} / (|k|^2 + gamma).
 
-    The sum runs over the cube |k|_inf <= K = ``_laplace_kmax(d)``; the
-    rest is the radial integral int_K^oo omega r^{d-1-2a} / (r^2 + gamma) dr
+    The sum runs over the ball |k| <= K = ``_laplace_kmax(d)``; the rest
+    is the radial integral int_K^oo omega r^{d-1-2a} / (r^2 + gamma) dr
     = omega K^{d-2-2a} / (2b) 2F1(1, b; b + 1; -gamma / K^2) with
-    b = 1 - d/2 + a, exact at every gamma, plus the end term
+    b = 1 - d/2 + a, exact at every gamma, plus at d = 1 the end term
     omega K^{d-1-2a} / (2 (K^2 + gamma)).  That end term has the opposite
-    sign to Euler-Maclaurin's at d = 1 (3.2e-10 relative at alpha 0.3,
-    gamma 1), and at d >= 2 the cube's corners beyond the ball |k| <= K
-    are counted twice (1.7e-4 at d = 2, alpha 0.5, gamma 1).
+    sign to Euler-Maclaurin's (3.2e-10 relative at alpha 0.3, gamma 1);
+    it is kept until the values it moves are re-recorded (ROADMAP item 6).
     """
     if gamma <= 0.0:
         raise DomainError("gamma must be positive")
@@ -193,13 +192,16 @@ def k1_laplace(gamma, spec):
     d, a = spec.d, spec.alpha
     kmax = _laplace_kmax(d)
     r2, counts = lattice_r2(d, kmax)
+    ball = r2 <= kmax**2
+    r2, counts = r2[ball], counts[ball]
     main = float(np.sum(counts * mode_weight(spec, r2) / (r2 + gamma)))
 
     omega = sphere_area(d)
     b = 1.0 - d / 2.0 + a
     tail = (omega * kmax ** (d - 2.0 - 2.0 * a) / (2.0 * b)
             * _hyp2f1_1b(b, gamma / kmax**2))
-    tail += 0.5 * omega * kmax ** (d - 1.0) * kmax ** (-2.0 * a) / (kmax**2 + gamma)
+    if d == 1:
+        tail += 0.5 * omega * kmax ** (-2.0 * a) / (kmax**2 + gamma)
     return TWO_PI ** (-d / 2.0) * (spec.rho / gamma + main + tail)
 
 

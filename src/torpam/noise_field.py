@@ -110,13 +110,11 @@ def grid_to_modes(field, kmax, grid_n, d):
 
 @dataclass(frozen=True)
 class NoiseIncrement:
-    """One space-time noise increment on the grid, with its provenance."""
+    """One space-time noise increment on the grid."""
 
     dt: float
     grid_n: int
     values: np.ndarray
-    seed_state: tuple  # (seed, stream, step)
-    kmax: int
 
 
 class IncrementSampler:
@@ -176,15 +174,8 @@ class IncrementSampler:
 
     def sample(self, seed, step, stream=0):
         """One increment field on the grid, reproducible from its key."""
-        field = self.draw(seed, step, stream)
-        return NoiseIncrement(dt=self.dt, grid_n=self.grid_n, values=field,
-                              seed_state=(int(seed), int(stream), int(step)),
-                              kmax=self.kmax)
-
-
-def sample_increment(spec, kmax, dt, grid_n, seed, step=0, stream=0):
-    """Convenience wrapper building a sampler for a single draw."""
-    return IncrementSampler(spec, kmax, grid_n, dt).sample(seed, step, stream)
+        return NoiseIncrement(dt=self.dt, grid_n=self.grid_n,
+                              values=self.draw(seed, step, stream))
 
 
 def grid_inner(field, psi, d):

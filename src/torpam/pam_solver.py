@@ -184,13 +184,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Output times, fields u(t_n, .) and full provenance."""
+    """Output times, fields u(t_n, .) and the number of steps after which
+    the field has a negative value."""
 
     times: np.ndarray
     fields: np.ndarray
-    seed: int
-    config: SolverConfig
-    positivity_violations: int = 0
+    positivity_violations: int
 
 
 def _heat_factor(config):
@@ -319,8 +318,8 @@ def solve(config, mu, seed, output_times=None):
     (time, grid...), plus a count of the steps after which the field has a
     negative value."""
     times, fields, negative = _march(config, mu, seed, 1, output_times)
-    return Trajectory(times=times, fields=fields[:, 0], seed=int(seed),
-                      config=config, positivity_violations=negative)
+    return Trajectory(times=times, fields=fields[:, 0],
+                      positivity_violations=negative)
 
 
 def _output_mask(config, t_start, output_times):

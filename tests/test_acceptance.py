@@ -201,7 +201,7 @@ def test_criterion_07_constant_noise_oracle():
     ok = True
     for est in ests:
         target = math.exp(est.t / TWO_PI) * TWO_PI ** -2
-        ok = ok and est.within(target, 3.0)
+        ok = ok and abs(est.value - target) <= 3.0 * est.std_err
         details.append(f"MC(t={est.t:g}) dev "
                        f"{(est.value - target) / est.std_err:+.2f} SE")
     for t in (0.5, 1.0):

@@ -14,7 +14,7 @@ from torpam import moment_calculus as mc
 from torpam import pam_solver
 from torpam.cli import COMMANDS, main
 from torpam.covariance import NoiseSpec
-from torpam.noise_field import sample_increment
+from torpam.noise_field import IncrementSampler
 from torpam.pam_solver import InitialMeasure, SolverConfig, solve
 
 
@@ -173,10 +173,9 @@ class TestArtifacts:
                         "--format", "csv")
         assert code == 0
         assert (out / "increment.csv").exists()
-        inc = sample_increment(NoiseSpec(d=1, alpha=0.3, rho=1.0), 16, 0.01,
-                               33, 0)
-        assert np.load(out / "increment.npy").tobytes() == \
-            inc.values.tobytes()
+        field = IncrementSampler(NoiseSpec(d=1, alpha=0.3, rho=1.0), 16, 33,
+                                 0.01).draw(0, 0)
+        assert np.load(out / "increment.npy").tobytes() == field.tobytes()
 
     @pytest.mark.parametrize("command,d,field", [
         ("simulate", "1", "field_0001"), ("simulate", "2", "field_0001"),

@@ -169,6 +169,20 @@ class TestZetaLattice:
             exact = 4.0 * special.zeta(s) * beta
         assert zeta_lattice(d, exponent) == pytest.approx(exact, rel=rtol)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the radial tail and the d = 1 end term of the "
+                       "wrong sign leave 2.5e-6 to 2.4e-8; ROADMAP item 17 "
+                       "gives the closed form")
+    @pytest.mark.parametrize("d, exponent", [(1, 2.6), (1, 3.0), (2, 3.0), (2, 4.0)])
+    def test_closed_forms_to_roundoff(self, d, exponent):
+        if d == 1:
+            exact = 2.0 * special.zeta(exponent)
+        else:
+            s = exponent / 2.0
+            beta = 4.0**-s * (special.zeta(s, 0.25) - special.zeta(s, 0.75))
+            exact = 4.0 * special.zeta(s) * beta
+        assert zeta_lattice(d, exponent) == pytest.approx(exact, rel=1e-12)
+
     @pytest.mark.parametrize("d, exponent", [(1, 1.0), (2, 1.5), (3, 3.0)])
     def test_divergent_exponent_refused(self, d, exponent):
         with pytest.raises(DomainError, match=f"exponent > d, got exponent = "
@@ -259,6 +273,48 @@ class TestDualRoutes:
         val, tail = cov.covariance_eval(spec, [1.0], full_output=True)
         assert tail < 1e-10
         assert abs(val - cov.covariance_eval_integral(spec, [1.0])) <= 1e-6 + tail
+
+
+class TestNearOrigin:
+    """The routes at |x| = 1e-3 against references from a log-time
+    quadrature split into unit pieces of log u (d = 2) and from the theta
+    split of ROADMAP item 17 (d = 1)."""
+
+    SPEC_2D = cov.NoiseSpec(d=2, alpha=1.2, rho=0.0)
+    X_2D, REF_2D = [1e-3, 0.0], 0.4410211054414
+    SPEC_1D = cov.NoiseSpec(d=1, alpha=0.3, rho=0.0)
+    X_1D, REF_1D = [1e-3], 8.431615984799588
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the Gaussian part's quad misses the peak near "
+                       "the origin (+6.4%); ROADMAP item 17")
+    def test_eval_2d(self):
+        assert cov.covariance_eval(self.SPEC_2D, self.X_2D) == pytest.approx(
+            self.REF_2D, rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the time quadrature misses the peak near the "
+                       "origin (+5.5%); ROADMAP item 17")
+    def test_integral_2d(self):
+        assert cov.covariance_eval_integral(self.SPEC_2D, self.X_2D) == \
+            pytest.approx(self.REF_2D, rel=1e-9)
+
+    def test_batch_2d(self):
+        got = cov.covariance_eval_batch(self.SPEC_2D, np.array([self.X_2D]))[0]
+        assert got == pytest.approx(self.REF_2D, rel=1e-8)
+
+    def test_eval_and_integral_1d(self):
+        assert cov.covariance_eval(self.SPEC_1D, self.X_1D) == pytest.approx(
+            self.REF_1D, rel=1e-12)
+        assert cov.covariance_eval_integral(self.SPEC_1D, self.X_1D) == \
+            pytest.approx(self.REF_1D, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the 48-node panel rule is off by -5.2e-5 this "
+                       "close to the origin; ROADMAP item 17")
+    def test_batch_1d(self):
+        got = cov.covariance_eval_batch(self.SPEC_1D, np.array([self.X_1D]))[0]
+        assert got == pytest.approx(self.REF_1D, rel=1e-9)
 
 
 class TestShape:

@@ -46,7 +46,7 @@ class TestMcMoments:
         ests = ex.mc_moments(cfg, mu, 2, 10_000, [0.5, 1.0], [[0.0]], seed=3)
         for est in ests:
             target = math.exp(est.t / TWO_PI) * TWO_PI ** -2
-            assert est.within(target, 3.0)
+            assert abs(est.value - target) <= 3.0 * est.std_err
 
     def test_small_coupling_returns_j0_sq(self):
         spec = NoiseSpec(d=1, alpha=0.3, rho=1.0, lam=1e-5)

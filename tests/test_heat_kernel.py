@@ -86,12 +86,30 @@ class TestGaussKernel:
             hk.gauss_kernel(0.0, [0.1])
 
 
+def theta_c_image(t):
+    """C_t by the image series at x = 0, at every t."""
+    return float(hk.kernel_ratio(t, 0.0))
+
+
+def theta_c_cosine(t):
+    """C_t by the cosine series at x = 0, at every t."""
+    return math.sqrt(2 * PI * t) * float(hk.heat_kernel_1d_spectral(t, 0.0))
+
+
 class TestThetaC:
     def test_forms_agree(self):
         for t in (0.2, 1.0, 2 * PI, 15.0):
-            a = float(hk.theta_c(t, form="s"))
-            b = float(hk.theta_c(t, form="s_prime"))
-            assert abs(a - b) < 1e-12
+            assert abs(theta_c_image(t) - theta_c_cosine(t)) < 1e-12
+
+    def test_takes_each_series_on_its_side_of_the_switch(self):
+        ts = np.concatenate([np.geomspace(1e-3, 2 * PI, 50),
+                             np.geomspace(6.3, 2000.0, 50)])
+        for t in ts:
+            if t <= hk.DEFAULT_CONFIG.t_switch:
+                assert same_bits(hk.theta_c(t), theta_c_image(t))
+            else:
+                assert float(hk.theta_c(t)) == pytest.approx(
+                    theta_c_cosine(t), rel=4.5e-16, abs=0.0)
 
     def test_in_band_at_half(self):
         ct = float(hk.theta_c(0.5))
@@ -299,14 +317,15 @@ class TestSeriesReference:
 
     @pytest.mark.parametrize("form", ["s", "s_prime"])
     def test_theta_c(self, form):
+        series = theta_c_image if form == "s" else theta_c_cosine
         for t, _ in self.points():
             if form == "s_prime" and t < COSINE_T_MIN:
                 # the reference stops at 64 terms too: both would be wrong
                 with pytest.raises(DomainError):
-                    hk.theta_c(t, form=form)
+                    series(t)
                 continue
-            assert float(hk.theta_c(t, form=form)) == pytest.approx(
-                reference_theta_c(t, form), rel=1e-14, abs=0.0)
+            assert series(t) == pytest.approx(reference_theta_c(t, form),
+                                              rel=1e-14, abs=0.0)
 
 
 # the series converge within MAX_TERMS terms for t >= COSINE_T_MIN (cosine)
@@ -325,8 +344,6 @@ class TestSeriesCap:
     def test_cosine_refused_below(self):
         t = 0.999 * COSINE_T_MIN
         with pytest.raises(DomainError):
-            hk.theta_c(t, form="s_prime")
-        with pytest.raises(DomainError):
             hk.heat_kernel_1d_spectral(t, 0.5)
         with pytest.raises(DomainError):
             hk.heat_kernel_1d_spectral(np.array([t, 1.0]), 0.5)
@@ -337,17 +354,18 @@ class TestSeriesCap:
         t = 1.001 * COSINE_T_MIN
         assert float(hk.heat_kernel_1d_spectral(t, 0.5)) == pytest.approx(
             float(hk.heat_kernel_1d_image(t, 0.5)), rel=1e-12, abs=1e-300)
-        assert float(hk.theta_c(t, form="s_prime")) == pytest.approx(
-            float(hk.theta_c(t, form="s")), rel=1e-13)
+        assert theta_c_cosine(t) == pytest.approx(theta_c_image(t), rel=1e-13)
 
     def test_image_refused_above(self):
         t = 1.001 * IMAGE_T_MAX
         for call in (lambda: hk.heat_kernel_1d_image(t, 0.5),
                      lambda: hk.kernel_ratio(t, [0.5]),
-                     lambda: hk.theta_c(t, form="s"),
+                     lambda: hk.kernel_ratio(t, 0.0),
                      lambda: hk.heat_kernel_1d_image(np.array([1.0, t]), 0.5)):
             with pytest.raises(DomainError):
                 call()
+        # theta_c takes the cosine series above t_switch
+        assert np.isfinite(hk.theta_c(t))
         t = 0.999 * IMAGE_T_MAX
         assert float(hk.heat_kernel_1d_image(t, 0.5)) == pytest.approx(
             float(hk.heat_kernel_1d_spectral(t, 0.5)), rel=1e-12)
@@ -446,7 +464,4 @@ class TestScalarRoute:
     @given(TIMES)
     @settings(max_examples=300, deadline=None)
     def test_theta_c_matches_array_route(self, t):
-        forms = ["auto", "s"] + (["s_prime"] if t >= COSINE_T_MIN else [])
-        for form in forms:
-            assert same_bits(hk.theta_c(t, form),
-                             hk.theta_c(np.array([t, t]), form)[0])
+        assert same_bits(hk.theta_c(t), hk.theta_c(np.array([t, t]))[0])

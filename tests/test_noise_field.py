@@ -139,14 +139,14 @@ class TestSampler:
         assert modes.tobytes() == frozen.tobytes()
 
     def test_determinism(self, spec_d1):
-        a = nf.sample_increment(spec_d1, 16, 0.1, 33, seed=42, step=3)
-        b = nf.sample_increment(spec_d1, 16, 0.1, 33, seed=42, step=3)
+        a = nf.IncrementSampler(spec_d1, 16, 33, 0.1).sample(42, 3)
+        b = nf.IncrementSampler(spec_d1, 16, 33, 0.1).sample(42, 3)
         assert np.array_equal(a.values, b.values)
 
     def test_steps_differ(self, spec_d1):
-        a = nf.sample_increment(spec_d1, 16, 0.1, 33, seed=42, step=3)
-        b = nf.sample_increment(spec_d1, 16, 0.1, 33, seed=42, step=4)
-        assert not np.array_equal(a.values, b.values)
+        sampler = nf.IncrementSampler(spec_d1, 16, 33, 0.1)
+        assert not np.array_equal(sampler.sample(42, 3).values,
+                                  sampler.sample(42, 4).values)
 
     def test_realness(self, spec_d1):
         sampler = nf.IncrementSampler(spec_d1, 16, 33, 0.1)
@@ -176,13 +176,13 @@ class TestSampler:
 
 class TestFunctionals:
     def test_zero_function(self, spec_d1):
-        incs = [nf.sample_increment(spec_d1, 8, 0.1, 17, seed=0, step=s)
-                for s in range(3)]
+        sampler = nf.IncrementSampler(spec_d1, 8, 17, 0.1)
+        incs = [sampler.sample(0, s) for s in range(3)]
         assert nf.wiener_functional(incs, np.zeros(17)) == 0.0
 
     def test_grid_mismatch(self, spec_d1):
-        a = nf.sample_increment(spec_d1, 8, 0.1, 17, seed=0, step=0)
-        b = nf.sample_increment(spec_d1, 8, 0.2, 17, seed=0, step=1)
+        a = nf.IncrementSampler(spec_d1, 8, 17, 0.1).sample(0, 0)
+        b = nf.IncrementSampler(spec_d1, 8, 17, 0.2).sample(0, 1)
         with pytest.raises(DomainError):
             nf.wiener_functional([a, b], np.ones(17))
 
