@@ -14,7 +14,6 @@ route from a key to grid noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -40,13 +39,13 @@ def grid_points(grid_n, d):
 
 @lru_cache(maxsize=64)
 def _half_cube(kmax, grid_n, d):
-    """For the half of the (-kmax..kmax)^d cube with last index >= 0: its
-    phase (-1)^{|k|_1} (on x_j = -pi + 2 pi j / N, e^{i k x_j} =
-    (-1)^k e^{2 pi i k j / N}); one slice pair per sign pattern of the
-    first d-1 axes, half cube to real-FFT spectrum (k < 0 wrapped to
-    N-kmax..N-1); and, for j = d-1 .. 0, the full-cube slice with k_j < 0
-    and every later axis at k = 0, paired with the slice of its mirror -k.
-    Refuses a negative cutoff and a grid too coarse for the cube.
+    """The half of the (-kmax..kmax)^d cube with last index >= 0, shape
+    (2 kmax + 1,) * (d - 1) + (kmax + 1,): the mode tensor of both mode
+    maps.  Returns its phase (-1)^{|k|_1} (on x_j = -pi + 2 pi j / N,
+    e^{i k x_j} = (-1)^k e^{2 pi i k j / N}) and one slice pair per sign
+    pattern of the first d-1 axes, half cube to real-FFT spectrum (k < 0
+    wrapped to N-kmax..N-1).  Refuses a negative cutoff and a grid too
+    coarse for the cube.
     """
     if kmax < 0:
         raise DomainError(f"mode cutoff kmax = {kmax} must be >= 0")
@@ -63,58 +62,39 @@ def _half_cube(kmax, grid_n, d):
         ((..., *(a[0] for a in pattern), slice(None)),
          (..., *(a[1] for a in pattern), slice(None, kmax + 1)))
         for pattern in product((nonneg, neg), repeat=d - 1))
-    zeros = [(kmax,) * (d - 1 - j) for j in range(d)]
-    mirrors = tuple(
-        ((..., *(slice(None),) * j, slice(None, kmax), *zeros[j]),
-         (..., *(slice(None, None, -1),) * j, slice(None, kmax, -1), *zeros[j]))
-        for j in reversed(range(d)))
-    return phase, blocks, mirrors
+    return phase, blocks
 
 
 def modes_to_grid(coeffs_by_mode, kmax, grid_n, d):
     """Synthesize the real field sum_k c_k e^{i k x} on the grid via the
     inverse real FFT over the last d axes.
 
-    ``coeffs_by_mode`` is a Hermitian mode tensor (c_{-k} = conj c_k)
-    indexed over (-kmax..kmax)^d (shape (..., (2 kmax+1)^d as a d-cube));
-    leading axes are batch.  Only its half with last index >= 0 is read.
+    ``coeffs_by_mode`` holds the modes |k|_inf <= kmax with last index
+    >= 0 (the half cube of :func:`_half_cube`) of a Hermitian tensor,
+    c_{-k} = conj c_k, which fixes the rest; leading axes are batch.
     """
-    phase, blocks, _ = _half_cube(kmax, grid_n, d)
+    phase, blocks = _half_cube(kmax, grid_n, d)
     shape = coeffs_by_mode.shape
-    cube = (2 * kmax + 1,) * d
-    if shape[-d:] != cube:
-        raise DomainError(f"mode tensor must end with shape {cube}")
-    pos = coeffs_by_mode[..., kmax:]
+    if shape[-d:] != phase.shape:
+        raise DomainError(f"mode tensor must end with shape {phase.shape}")
     work = np.zeros(shape[:-d] + (grid_n,) * (d - 1) + (grid_n // 2 + 1,),
                     dtype=complex)
     for cube_part, spectrum_part in blocks:
-        np.multiply(pos[cube_part], phase[cube_part], out=work[spectrum_part])
+        np.multiply(coeffs_by_mode[cube_part], phase[cube_part],
+                    out=work[spectrum_part])
     return np.fft.irfftn(work, s=(grid_n,) * d, axes=tuple(range(-d, 0)),
                          norm="forward")
 
 
 def grid_to_modes(field, kmax, grid_n, d):
     """Inverse of :func:`modes_to_grid` for real band-limited fields: the
-    real FFT gives the modes with last index >= 0, and conjugation fills
-    the rest, so the returned tensor is exactly Hermitian."""
-    phase, blocks, mirrors = _half_cube(kmax, grid_n, d)
+    modes with last index >= 0, read off the real FFT."""
+    phase, blocks = _half_cube(kmax, grid_n, d)
     hat = np.fft.rfftn(field, axes=tuple(range(-d, 0)), norm="forward")
-    out = np.empty(field.shape[:-d] + (2 * kmax + 1,) * d, dtype=complex)
-    pos = out[..., kmax:]
+    out = np.empty(field.shape[:-d] + phase.shape, dtype=complex)
     for cube_part, spectrum_part in blocks:
-        np.multiply(hat[spectrum_part], phase[cube_part], out=pos[cube_part])
-    for target, mirror in mirrors:
-        out[target] = np.conj(out[mirror])
+        np.multiply(hat[spectrum_part], phase[cube_part], out=out[cube_part])
     return out
-
-
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """One space-time noise increment on the grid."""
-
-    dt: float
-    grid_n: int
-    values: np.ndarray
 
 
 class IncrementSampler:
@@ -125,15 +105,14 @@ class IncrementSampler:
     """
 
     def __init__(self, spec, kmax, grid_n, dt):
-        if dt <= 0.0:
-            raise DomainError("dt must be positive")
+        if not 0.0 < dt < np.inf:
+            raise DomainError(f"dt = {dt:g} must be positive and finite")
         if spec.d > 2:
             raise DomainError("sampling implemented for d in {1, 2}")
         _half_cube(kmax, grid_n, spec.d)  # refuses kmax < 0 or too coarse a grid
         self.spec = spec
         self.kmax = kmax
         self.grid_n = grid_n
-        self.dt = dt
         # the half lattice: the cube after its centre, in C order, holds
         # one k of each {k, -k} pair (its first nonzero coordinate > 0)
         d = spec.d
@@ -168,14 +147,11 @@ class IncrementSampler:
     def draw(self, seed, step, stream=0, n_batch=None):
         """The increment field(s) of one step on the grid, drawn from the
         step's own (seed, stream, step) Philox key: the one route from a
-        key to grid noise."""
+        key to grid noise.  Synthesis reads the cube's half with last
+        index >= 0."""
         modes = self.sample_modes(step_rng(seed, step, stream), n_batch)
-        return modes_to_grid(modes, self.kmax, self.grid_n, self.spec.d)
-
-    def sample(self, seed, step, stream=0):
-        """One increment field on the grid, reproducible from its key."""
-        return NoiseIncrement(dt=self.dt, grid_n=self.grid_n,
-                              values=self.draw(seed, step, stream))
+        return modes_to_grid(modes[..., self.kmax:], self.kmax, self.grid_n,
+                             self.spec.d)
 
 
 def grid_inner(field, psi, d):
@@ -185,20 +161,6 @@ def grid_inner(field, psi, d):
     cell = (TWO_PI / n) ** d
     axes = tuple(range(-d, 0))
     return np.sum(field * psi, axis=axes) * cell
-
-
-def wiener_functional(increments, phi):
-    """sum_n <dW_n, phi> over increments sharing one grid; Gaussian with
-    variance (n dt) <phi, phi>_{alpha,rho} up to mode truncation."""
-    if not increments:
-        return 0.0
-    base = increments[0]
-    total = 0.0
-    for inc in increments:
-        if inc.grid_n != base.grid_n or inc.dt != base.dt:
-            raise DomainError("increments must share grid and dt")
-        total += grid_inner(inc.values, phi, inc.values.ndim)
-    return float(total)
 
 
 def functional_variance(spec, phi_modes):

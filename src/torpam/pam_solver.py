@@ -193,8 +193,9 @@ class Trajectory:
 
 
 def _heat_factor(config):
+    """exp(-|k|^2 dt / 2) on the half cube the mode maps carry."""
     d, kmax = config.spec.d, config.mode_k
-    sq = cube_norm_sq(d, kmax).reshape((2 * kmax + 1,) * d)
+    sq = cube_norm_sq(d, kmax).reshape((2 * kmax + 1,) * d)[..., kmax:]
     return np.exp(-sq * config.dt / 2.0)
 
 

@@ -156,8 +156,7 @@ def test_criterion_05_noise_covariance_fidelity():
     ones = np.ones(33)
     totals = np.zeros(n_samples)
     for s in range(n_steps):
-        modes = sampler.sample_modes(nf.step_rng(606, s), n_batch=n_samples)
-        fields = np.real(nf.modes_to_grid(modes, 16, 33, 1))
+        fields = sampler.draw(606, s, n_batch=n_samples)
         totals += nf.grid_inner(fields, ones, 1)
     var_est = float(np.var(totals, ddof=1))
     target = n_steps * dt * spec.rho * TWO_PI

@@ -343,6 +343,12 @@ class TestBadInput:
         (["feynman-kac", *S, "--kmax", "-2"], "kmax = -2 must be >= 0"),
         (["simulate", *S, "--mode-k", "-1"], "mode_k = -1 must be >= 0"),
         (["noise-sample", *S, "--kmax", "-1"], "kmax = -1 must be >= 0"),
+        (["noise-sample", *S, "--dt", "nan"],
+         "dt = nan must be positive and finite"),
+        (["noise-sample", *S, "--dt", "inf"],
+         "dt = inf must be positive and finite"),
+        (["noise-verify", *S, "--dt", "nan"],
+         "dt = nan must be positive and finite"),
     ])
     def test_refused_in_compute_writes_nothing(self, tmp_path, capsys, argv,
                                                message):

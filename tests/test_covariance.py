@@ -367,8 +367,9 @@ class TestQuadraticForm:
         cell = TWO_PI / n
         quadratic = phi @ fmat @ psi * cell**2
 
-        a = grid_to_modes(phi, kmax, n, 1) * math.sqrt(TWO_PI)
-        b = grid_to_modes(psi, kmax, n, 1) * math.sqrt(TWO_PI)
+        # the full d = 1 cube from the half the analysis returns
+        a, b = (np.concatenate([np.conj(h[:0:-1]), h]) * math.sqrt(TWO_PI)
+                for h in (grid_to_modes(f, kmax, n, 1) for f in (phi, psi)))
         ks = np.arange(-kmax, kmax + 1)
         safe = np.where(ks == 0, 1, np.abs(ks)).astype(float)
         weights = np.where(ks == 0, spec.rho, safe ** (-2 * spec.alpha))

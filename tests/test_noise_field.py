@@ -15,17 +15,20 @@ PI = math.pi
 
 
 class TestModeMaps:
+    """The mode maps carry the half of a Hermitian cube with last index
+    >= 0; each test builds the full cube and hands them its half."""
+
     def test_roundtrip_1d(self, rng):
         c = rng.normal(size=9) + 1j * rng.normal(size=9)
-        c = c + np.conj(c[::-1])
-        g = nf.modes_to_grid(c, 4, 32, 1)
-        assert np.max(np.abs(nf.grid_to_modes(g, 4, 32, 1) - c)) < 1e-13
+        half = (c + np.conj(c[::-1]))[4:]
+        g = nf.modes_to_grid(half, 4, 32, 1)
+        assert np.max(np.abs(nf.grid_to_modes(g, 4, 32, 1) - half)) < 1e-13
 
     def test_roundtrip_2d(self, rng):
         c = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        c = c + np.conj(c[::-1, ::-1])
-        g = nf.modes_to_grid(c, 3, 16, 2)
-        assert np.max(np.abs(nf.grid_to_modes(g, 3, 16, 2) - c)) < 1e-13
+        half = (c + np.conj(c[::-1, ::-1]))[:, 3:]
+        g = nf.modes_to_grid(half, 3, 16, 2)
+        assert np.max(np.abs(nf.grid_to_modes(g, 3, 16, 2) - half)) < 1e-13
 
     def test_matches_direct_synthesis(self, rng):
         c = rng.normal(size=9) + 1j * rng.normal(size=9)
@@ -33,7 +36,7 @@ class TestModeMaps:
         xs = nf.grid_points(16, 1)[:, 0]
         ks = np.arange(-4, 5)
         direct = (c[None, :] * np.exp(1j * np.outer(xs, ks))).sum(axis=1)
-        assert np.max(np.abs(direct - nf.modes_to_grid(c, 4, 16, 1))) < 1e-12
+        assert np.max(np.abs(direct - nf.modes_to_grid(c[4:], 4, 16, 1))) < 1e-12
 
     def test_matches_direct_synthesis_3d(self, rng):
         kmax, n = 2, 8
@@ -43,12 +46,19 @@ class TestModeMaps:
         ks = cube_points(np.arange(-kmax, kmax + 1), 3)
         waves = np.exp(1j * nf.grid_points(n, 3) @ ks.T)
         direct = np.einsum("pk,k->p", waves, c.ravel())
-        field = nf.modes_to_grid(c, kmax, n, 3)
+        field = nf.modes_to_grid(c[..., kmax:], kmax, n, 3)
         assert np.max(np.abs(direct - field.ravel())) < 1e-12
 
     def test_aliasing_guard(self):
         with pytest.raises(AliasingError):
-            nf.modes_to_grid(np.zeros(9, dtype=complex), 4, 8, 1)
+            nf.modes_to_grid(np.zeros(5, dtype=complex), 4, 8, 1)
+
+    @pytest.mark.parametrize("d, shape, half", [(1, (9,), r"\(5,\)"),
+                                                (2, (7, 7), r"\(7, 4\)")])
+    def test_synthesis_refuses_other_shapes_by_name(self, d, shape, half):
+        kmax = shape[0] // 2
+        with pytest.raises(DomainError, match=f"must end with shape {half}"):
+            nf.modes_to_grid(np.zeros(shape, dtype=complex), kmax, 16, d)
 
     def test_analysis_aliasing_guard(self):
         with pytest.raises(AliasingError):
@@ -61,9 +71,12 @@ class TestModeMaps:
             nf.modes_to_grid(np.zeros(1, dtype=complex), -1, 8, 1)
 
 
-def _flip(c, d):
-    """c_{-k}: the mode tensor reversed along its last d axes."""
-    return np.flip(c, axis=tuple(range(-d, 0)))
+def _hermitian_half(rng, batch, kmax, d):
+    """The half with last index >= 0 of a random Hermitian mode cube."""
+    shape = batch + (2 * kmax + 1,) * d
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    c = c + np.conj(np.flip(c, axis=tuple(range(-d, 0))))
+    return c[..., kmax:]
 
 
 class TestModeMapProperties:
@@ -80,9 +93,7 @@ class TestModeMapProperties:
     @given(st.data())
     def test_analysis_inverts_synthesis(self, data):
         d, kmax, grid_n, batch, rng = self._case(data)
-        shape = batch + (2 * kmax + 1,) * d
-        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        c = c + np.conj(_flip(c, d))
+        c = _hermitian_half(rng, batch, kmax, d)
         field = nf.modes_to_grid(c, kmax, grid_n, d)
         assert field.dtype == np.float64
         assert field.shape == batch + (grid_n,) * d
@@ -91,12 +102,19 @@ class TestModeMapProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_analysis_is_exactly_hermitian(self, data):
+    def test_analysis_matches_the_full_fft(self, data):
+        # the complex FFT's coefficients at the half cube's wrapped
+        # indices, times (-1)^{|k|_1} for the grid's start at -pi
         d, kmax, grid_n, batch, rng = self._case(data)
-        modes = nf.grid_to_modes(rng.normal(size=batch + (grid_n,) * d),
-                                 kmax, grid_n, d)
-        assert modes.shape == batch + (2 * kmax + 1,) * d
-        assert np.array_equal(modes, np.conj(_flip(modes, d)))
+        field = rng.normal(size=batch + (grid_n,) * d)
+        modes = nf.grid_to_modes(field, kmax, grid_n, d)
+        ks = [np.arange(-kmax, kmax + 1)] * (d - 1) + [np.arange(kmax + 1)]
+        full = np.fft.fftn(field, axes=tuple(range(-d, 0)), norm="forward")
+        picked = full[(...,) + np.ix_(*(k % grid_n for k in ks))]
+        l1 = sum(np.abs(k) for k in np.meshgrid(*ks, indexing="ij"))
+        expected = picked * (-1.0) ** l1
+        assert modes.shape == batch + (2 * kmax + 1,) * (d - 1) + (kmax + 1,)
+        assert np.max(np.abs(modes - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def _scattered_cube(sampler, rng, n_batch):
@@ -138,20 +156,36 @@ class TestSampler:
         frozen = _scattered_cube(sampler, nf.step_rng(seed, 0), n_batch)
         assert modes.tobytes() == frozen.tobytes()
 
+    @pytest.mark.parametrize("d, kmax, grid_n", [(1, 16, 33), (2, 5, 12)])
+    @pytest.mark.parametrize("n_batch", [None, 5])
+    def test_draw_synthesizes_the_half_of_sample_modes(self, d, kmax, grid_n,
+                                                       n_batch):
+        spec = NoiseSpec(d=d, alpha=0.3 if d == 1 else 0.8, rho=1.0)
+        sampler = nf.IncrementSampler(spec, kmax, grid_n, 0.1)
+        modes = sampler.sample_modes(nf.step_rng(4, 2, 1), n_batch=n_batch)
+        field = nf.modes_to_grid(modes[..., kmax:], kmax, grid_n, d)
+        drawn = sampler.draw(4, 2, 1, n_batch=n_batch)
+        assert drawn.shape == field.shape
+        assert drawn.tobytes() == field.tobytes()
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    def test_refuses_a_step_that_is_not_positive_and_finite(self, spec_d1, dt):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            nf.IncrementSampler(spec_d1, 8, 17, dt)
+
     def test_determinism(self, spec_d1):
-        a = nf.IncrementSampler(spec_d1, 16, 33, 0.1).sample(42, 3)
-        b = nf.IncrementSampler(spec_d1, 16, 33, 0.1).sample(42, 3)
-        assert np.array_equal(a.values, b.values)
+        a = nf.IncrementSampler(spec_d1, 16, 33, 0.1).draw(42, 3)
+        b = nf.IncrementSampler(spec_d1, 16, 33, 0.1).draw(42, 3)
+        assert np.array_equal(a, b)
 
     def test_steps_differ(self, spec_d1):
         sampler = nf.IncrementSampler(spec_d1, 16, 33, 0.1)
-        assert not np.array_equal(sampler.sample(42, 3).values,
-                                  sampler.sample(42, 4).values)
+        assert not np.array_equal(sampler.draw(42, 3), sampler.draw(42, 4))
 
     def test_realness(self, spec_d1):
         sampler = nf.IncrementSampler(spec_d1, 16, 33, 0.1)
         modes = sampler.sample_modes(nf.step_rng(1, 0))
-        field = nf.modes_to_grid(modes, 16, 33, 1)
+        field = nf.modes_to_grid(modes[16:], 16, 33, 1)
         assert np.max(np.abs(np.imag(field))) < 1e-12
 
     def test_grid_guard(self, spec_d1):
@@ -161,37 +195,26 @@ class TestSampler:
     def test_2d_sampler_realness(self):
         spec = NoiseSpec(d=2, alpha=0.8, rho=1.0)
         sampler = nf.IncrementSampler(spec, 5, 12, 0.1)
-        inc = sampler.sample(3, 0)
-        assert inc.values.shape == (12, 12)
-        assert np.isrealobj(inc.values)
+        field = sampler.draw(3, 0)
+        assert field.shape == (12, 12)
+        assert np.isrealobj(field)
 
     def test_mean_zero(self, spec_d1):
         sampler = nf.IncrementSampler(spec_d1, 8, 17, 0.1)
         modes = sampler.sample_modes(nf.step_rng(0, 0), n_batch=4000)
-        fields = np.real(nf.modes_to_grid(modes, 8, 17, 1))
+        fields = nf.modes_to_grid(modes[..., 8:], 8, 17, 1)
         mean = fields.mean(axis=0)
         se = fields.std(axis=0) / math.sqrt(4000)
         assert np.all(np.abs(mean) <= 4 * se)
 
 
 class TestFunctionals:
-    def test_zero_function(self, spec_d1):
-        sampler = nf.IncrementSampler(spec_d1, 8, 17, 0.1)
-        incs = [sampler.sample(0, s) for s in range(3)]
-        assert nf.wiener_functional(incs, np.zeros(17)) == 0.0
-
-    def test_grid_mismatch(self, spec_d1):
-        a = nf.IncrementSampler(spec_d1, 8, 17, 0.1).sample(0, 0)
-        b = nf.IncrementSampler(spec_d1, 8, 17, 0.2).sample(0, 1)
-        with pytest.raises(DomainError):
-            nf.wiener_functional([a, b], np.ones(17))
-
     def test_constant_functional_variance(self):
         # only the rho mode survives integration over the torus
         spec = NoiseSpec(d=1, alpha=0.3, rho=2.0)
         sampler = nf.IncrementSampler(spec, 0, 8, 0.05)
         ones = np.ones(8)
-        vals = [nf.grid_inner(sampler.sample(7, s).values, ones, 1)
+        vals = [nf.grid_inner(sampler.draw(7, s), ones, 1)
                 for s in range(4000)]
         target = 0.05 * 2.0 * TWO_PI
         assert np.var(vals, ddof=1) == pytest.approx(target, rel=0.1)
@@ -200,7 +223,7 @@ class TestFunctionals:
         spec = NoiseSpec(d=1, alpha=0.3, rho=0.0)
         sampler = nf.IncrementSampler(spec, 8, 17, 0.05)
         ones = np.ones(17)
-        vals = [nf.grid_inner(sampler.sample(3, s).values, ones, 1)
+        vals = [nf.grid_inner(sampler.draw(3, s), ones, 1)
                 for s in range(200)]
         assert np.max(np.abs(vals)) < 1e-12
 
@@ -212,7 +235,7 @@ class TestFunctionals:
         xs = nf.grid_points(n, 1)[:, 0]
         phi = np.cos(k * xs)
         modes = sampler.sample_modes(nf.step_rng(11, 0), n_batch=20000)
-        fields = np.real(nf.modes_to_grid(modes, kmax, n, 1))
+        fields = nf.modes_to_grid(modes[..., kmax:], kmax, n, 1)
         vals = nf.grid_inner(fields, phi, 1)
         target = dt * PI * float(k) ** (-2 * spec_d1.alpha)
         se = np.std(vals**2, ddof=1) / math.sqrt(len(vals))
@@ -225,8 +248,8 @@ class TestFunctionals:
         a = np.empty(n_rep)
         b = np.empty(n_rep)
         for r in range(n_rep):
-            a[r] = nf.grid_inner(sampler.sample(5, 2 * r).values, phi, 1)
-            b[r] = nf.grid_inner(sampler.sample(5, 2 * r + 1).values, phi, 1)
+            a[r] = nf.grid_inner(sampler.draw(5, 2 * r), phi, 1)
+            b[r] = nf.grid_inner(sampler.draw(5, 2 * r + 1), phi, 1)
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) <= 3.0 / math.sqrt(n_rep)
 
@@ -284,7 +307,7 @@ class TestEmpiricalCovariance:
         rep = nf.empirical_covariance(spec_d1, dt, grid_n, n, seed)
         sampler = nf.IncrementSampler(spec_d1, 4, grid_n, dt)
         modes = sampler.sample_modes(nf.step_rng(seed, 0), n_batch=n)
-        fields = nf.modes_to_grid(modes, 4, grid_n, 1)
+        fields = nf.modes_to_grid(modes[..., 4:], 4, grid_n, 1)
         emp = fields.T @ fields / n
         prods_sq = (fields[:, :, None] * fields[:, None, :]) ** 2
         se = np.sqrt((prods_sq.mean(axis=0) - emp**2) / n)

@@ -446,7 +446,7 @@ def _reference_march(cfg, mu, seed, n_paths):
     sampler = IncrementSampler(cfg.spec, kmax, n, cfg.dt)
     for nstep in range(cfg.n_steps):
         modes = sampler.sample_modes(step_rng(seed, nstep), n_batch=n_paths)
-        dw = modes_to_grid(modes, kmax, n, d)
+        dw = modes_to_grid(modes[..., kmax:], kmax, n, d)
         prod = grid_to_modes(u * dw, kmax, n, d)
         u_modes = grid_to_modes(u, kmax, n, d)
         u = modes_to_grid(heat * (u_modes + cfg.spec.lam * prod), kmax, n, d)
