@@ -5,7 +5,12 @@ The torus bridge is the heat-kernel ratio; for t above a threshold it is
 comparable to the unpinned torus kernel with explicit constants
 ``(c_eps, C_eps)``, and for all t it is dominated by a 3^d-image sum of
 Euclidean bridges up to a universal constant that we fit numerically.
-Sweeps use a scrambled Sobol sequence so every report is reproducible.
+
+Sweeps draw scipy's scrambled Sobol points bit for bit
+(``qmc.Sobol(dim, scramble=True, seed=seed)``: Joe-Kuo direction numbers
+under Matousek's left-matrix scramble and a digital shift), generated
+here in numpy, so a report is reproducible and does not depend on the
+installed scipy.  The module loads no scipy.
 """
 
 from __future__ import annotations
@@ -104,18 +109,87 @@ def corrected_comparison_constants(eps):
     return c, comparison_constants(eps)[1]
 
 
-def _sobol_box(n_samples, dim, seed):
-    from scipy.stats import qmc
+# Joe & Kuo's (SIAM J. Sci. Comput. 30, 2008) primitive polynomial and
+# initial direction integers of Sobol dimensions 1-31 in scipy's
+# numbering; every direction integer of dimension 0 is 1
+_JOE_KUO = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)),
+    (67, (1, 3, 3, 9, 7, 49)), (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)), (103, (1, 1, 1, 15, 7, 5)),
+    (109, (1, 3, 1, 15, 13, 25)), (115, (1, 1, 5, 5, 19, 61)),
+    (131, (1, 3, 7, 11, 23, 15, 103)), (137, (1, 3, 7, 13, 13, 15, 69)),
+    (143, (1, 1, 3, 13, 7, 35, 63)), (145, (1, 3, 5, 9, 1, 25, 53)),
+    (157, (1, 3, 1, 13, 9, 35, 107)), (167, (1, 3, 1, 5, 27, 61, 31)),
+    (171, (1, 1, 5, 11, 19, 41, 61)), (185, (1, 3, 5, 3, 3, 13, 69)),
+    (191, (1, 1, 7, 13, 1, 19, 1)), (193, (1, 3, 7, 5, 13, 19, 59)),
+    (203, (1, 1, 3, 9, 25, 29, 41)), (211, (1, 3, 5, 13, 23, 1, 55)),
+    (213, (1, 3, 7, 3, 13, 59, 17)),
+)
+_BITS = 30
 
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    m = max(1, math.ceil(math.log2(n_samples)))
-    return eng.random_base2(m)[:n_samples]
+
+def _sobol_directions(dim):
+    """The (dim, 30) direction integers, each left-aligned at 30 bits
+    (Bratley & Fox's recurrence on the primitive polynomial)."""
+    rows = [[1] * _BITS]
+    for poly, init in _JOE_KUO[:dim - 1]:
+        s = len(init)
+        v = list(init)
+        for j in range(s, _BITS):
+            new = v[j - s] ^ (v[j - s] << s)
+            for k in range(1, s):
+                if poly >> (s - k) & 1:
+                    new ^= v[j - k] << k
+            v.append(new)
+        rows.append(v)
+    return np.array(rows, dtype=np.int64) << np.arange(_BITS - 1, -1, -1)
+
+
+def _sobol_box(n_samples, dim, seed):
+    """The first n_samples points of
+    ``qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m)``, bit for
+    bit: the scramble is drawn from ``default_rng(seed)`` in scipy's order
+    (the shift digits, then the lower-triangular matrices), and the points
+    follow Gray-code order from the shift."""
+    if dim > 1 + len(_JOE_KUO):
+        raise DomainError(f"a Sobol sweep in dimension {dim} exceeds the "
+                          f"{1 + len(_JOE_KUO)} embedded Joe-Kuo dimensions")
+    rng = np.random.default_rng(seed)
+    bit = np.arange(_BITS)
+    # the shift's digits come least significant first, the scramble's
+    # rows and columns most significant first
+    shift = rng.integers(0, 2, size=(dim, _BITS), dtype=np.uint32) @ (1 << bit)
+    lower = np.tril(rng.integers(0, 2, size=(dim, _BITS, _BITS),
+                                 dtype=np.uint32)).astype(np.int64)
+    lower[:, bit, bit] = 1
+    place = _BITS - 1 - bit
+    digits = _sobol_directions(dim)[:, :, None] >> place & 1
+    directions = (np.einsum("dpi,dji->djp", lower, digits) & 1) @ (1 << place)
+    # point k flips the direction numbered by the trailing zeros of k
+    k = np.arange(1, n_samples)
+    points = np.empty((n_samples, dim), dtype=np.int64)
+    points[0] = shift
+    points[1:] = directions.T[np.frexp(k & -k)[1] - 1]
+    return np.bitwise_xor.accumulate(points, axis=0, out=points) * 2.0**-_BITS
+
+
+def _check_sweep(d, n_samples):
+    if d < 1:
+        raise DomainError(f"d = {d} must be >= 1")
+    if n_samples < 1:
+        raise DomainError(f"n_samples = {n_samples} must be >= 1")
 
 
 def check_large_time_bound(eps, t, d=1, n_samples=10_000, seed=0, corrected=False):
     """Sweep the sandwich c_eps^d G(s,x0,z) <= G_{t,x0,x}(s,z) <= C_eps^d G(s,x0,z)
     over (s, x0, x, z) with s in (0, t/2]; returns the violation count
     (expected zero) and the extreme ratios."""
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps = {eps:g} must be positive and finite")
+    _check_sweep(d, n_samples)
     if t < eps:
         raise DomainError("the comparison needs t >= eps")
     c_eps, big_eps = (corrected_comparison_constants(eps) if corrected
@@ -140,11 +214,20 @@ def check_large_time_bound(eps, t, d=1, n_samples=10_000, seed=0, corrected=Fals
     }
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) over the first axis, in scipy.special.logsumexp's
+    form (and to its bits): the entries equal to the maximum are counted,
+    not summed, so one dominant term loses no digits to log(1 + tiny)."""
+    top = np.max(a, axis=0)
+    at_top = a == top
+    m = np.sum(at_top, axis=0, dtype=float)
+    s = np.sum(np.exp(np.where(at_top, -np.inf, a - top)), axis=0)
+    return np.log1p(s / m) + np.log(m) + top
+
+
 def _log_image_sum(t, s, x0, x, z):
     """log of the 3^d-term Euclidean bridge image sum, vectorized; stays
     finite where every single Gaussian underflows."""
-    from scipy.special import logsumexp
-
     x0a, xa, za = as_coords(x0), as_coords(x), as_coords(z)
     d = x0a.shape[-1]
     shifts = cube_points([-TWO_PI, 0.0, TWO_PI], d)
@@ -155,7 +238,7 @@ def _log_image_sum(t, s, x0, x, z):
         mean = x0a + frac[..., None] * (xa + k - x0a)
         sq = np.sum((za - mean) ** 2, axis=-1)
         logs.append(-0.5 * d * np.log(TWO_PI * tau) - sq / (2.0 * tau))
-    return logsumexp(np.stack(logs, axis=0), axis=0)
+    return _logsumexp(np.stack(logs, axis=0))
 
 
 def _log_bridge_and_envelope(t, s, x0, x, z):
@@ -189,6 +272,7 @@ def check_image_sum_bound(t, s, x0, x, z):
 def fit_image_sum_constant(d=1, n_samples=10_000, seed=0):
     """Fitted universal constant of the small-time bound over a Sobol sweep
     with t <= t_max = 1; the sweep keeps z inside the window around x0."""
+    _check_sweep(d, n_samples)
     t_max = 1.0
     u = _sobol_box(n_samples, 2 + 3 * d, seed)
     t = u[:, 0] * (t_max - 1e-6) + 1e-6

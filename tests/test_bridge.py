@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import logsumexp
+from scipy.stats import qmc
 
 from torpam import bridge as br
 from torpam.errors import DomainError
@@ -137,6 +139,77 @@ class TestLargeTimeSandwich:
     def test_requires_t_at_least_eps(self):
         with pytest.raises(DomainError):
             br.check_large_time_bound(1.0, 0.5)
+
+
+class TestSweepRefusals:
+    """Each bad sweep argument is refused by its name before any draw."""
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(n_samples=0), "n_samples = 0 must be >= 1"),
+        (dict(n_samples=-5), "n_samples = -5 must be >= 1"),
+        (dict(d=0), "d = 0 must be >= 1"),
+    ])
+    def test_both_sweeps(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            br.check_large_time_bound(1.0, 2.0, **kwargs)
+        with pytest.raises(DomainError, match=message):
+            br.fit_image_sum_constant(**kwargs)
+
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, math.inf])
+    def test_eps_positive_and_finite(self, eps):
+        with pytest.raises(DomainError,
+                           match=f"eps = {eps:g} must be positive and finite"):
+            br.check_large_time_bound(eps, 2.0)
+
+    def test_dimension_above_the_table(self):
+        with pytest.raises(DomainError, match="dimension 33 exceeds the 32"):
+            br._sobol_box(8, 33, 0)
+        # a sweep at d = 11 needs 34 and 35 dimensions
+        with pytest.raises(DomainError, match="dimension 34"):
+            br.check_large_time_bound(1.0, 2.0, d=11, n_samples=8)
+        with pytest.raises(DomainError, match="dimension 35"):
+            br.fit_image_sum_constant(d=11, n_samples=8)
+
+
+class TestSobolBox:
+    """The numpy draw is scipy's scrambled Sobol sequence, bit for bit."""
+
+    @pytest.mark.parametrize("dim", range(1, 33))
+    def test_equals_scipy_bitwise(self, dim):
+        for seed in (0, 66, 67, 12345):
+            for n in (1, 2, 3, 1000, 10_000, 20_000):
+                m = max(1, math.ceil(math.log2(n)))
+                ref = qmc.Sobol(d=dim, scramble=True,
+                                seed=seed).random_base2(m)[:n]
+                got = br._sobol_box(n, dim, seed)
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64)), \
+                    (dim, seed, n)
+
+
+class TestLogSumExp:
+    """The image sum's log-sum-exp keeps scipy.special.logsumexp's bits."""
+
+    @pytest.mark.parametrize("k", [3, 9, 27])
+    def test_equals_scipy_bitwise(self, k):
+        a = np.random.default_rng(k).normal(size=(k, 4000)) * 30.0
+        a[:, :10] = 5.0                    # every entry tied at the maximum
+        a[0, 10:20] = a[-1, 10:20] = 40.0  # two tied maxima
+        a[1, 20:30] = -np.inf
+        assert np.array_equal(br._logsumexp(a), logsumexp(a, axis=0))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_on_criterion_6_inputs(self, monkeypatch, d):
+        own, same = br._logsumexp, []
+
+        def checked(a):
+            got = own(a)
+            same.append(np.array_equal(got, logsumexp(a, axis=0)))
+            return got
+
+        monkeypatch.setattr(br, "_logsumexp", checked)
+        br.fit_image_sum_constant(d=d, n_samples=10_000, seed=67)
+        assert same == [True]
 
 
 class TestImageSumBound:

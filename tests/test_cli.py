@@ -349,6 +349,14 @@ class TestBadInput:
          "dt = inf must be positive and finite"),
         (["noise-verify", *S, "--dt", "nan"],
          "dt = nan must be positive and finite"),
+        (["bridge-verify", "--n-samples", "0"], "n_samples = 0 must be >= 1"),
+        (["bridge-verify", "--n-samples", "-5"],
+         "n_samples = -5 must be >= 1"),
+        (["bridge-verify", "--d", "0"], "d = 0 must be >= 1"),
+        (["bridge-verify", "--eps", "nan"],
+         "eps = nan must be positive and finite"),
+        (["bridge-verify", "--eps", "-1"],
+         "eps = -1 must be positive and finite"),
     ])
     def test_refused_in_compute_writes_nothing(self, tmp_path, capsys, argv,
                                                message):
@@ -412,12 +420,13 @@ def _fresh(code):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-# every subcommand that runs no quadrature or Sobol draw (the Ewald split's
-# incomplete gamma, the Riesz constant and k1_laplace's tail are closed forms)
+# every subcommand that runs no quadrature (the Ewald split's incomplete
+# gamma, the Riesz constant and k1_laplace's tail are closed forms, and the
+# bridge draws its Sobol points in numpy)
 SCIPY_FREE = ["kernel-eval", "kernel-verify", "cov-rho-star", "noise-sample",
-              "noise-verify", "moments-table", "gamma0", "simulate",
-              "mc-moments", "two-point", "resolvent", "feynman-kac",
-              "ergodic-check", "holder"]
+              "noise-verify", "moments-table", "gamma0", "bridge-verify",
+              "simulate", "mc-moments", "two-point", "resolvent",
+              "feynman-kac", "ergodic-check", "holder"]
 
 
 class TestColdStart:
@@ -452,6 +461,15 @@ class TestColdStart:
             "[row] = ex.moment_bound_report(config, mu, 8, [0.02], [0.0],\n"
             "                               rho_suff=5.0)\n"
             "assert 'lower' in row\n") == []
+
+    def test_bridge_sweeps_load_no_scipy(self):
+        # criterion 6's Sobol draws and image-sum log-sum-exp
+        assert _fresh(
+            "from torpam import bridge as br\n"
+            "for d in (1, 2):\n"
+            "    br.check_large_time_bound(1.0, 2.0, d=d, n_samples=1000)\n"
+            "    br.fit_image_sum_constant(d=d, n_samples=1000)\n"
+            "br.check_image_sum_bound(0.5, 0.2, [0.0], [0.1], [0.3])\n") == []
 
     def test_deferred_import_resolves(self, tmp_path):
         argv = ["cov-eval", "--alpha", "0.3", "--x", "1", "--out",
